@@ -164,6 +164,25 @@ def zero_one_rank_loss(s_pref, s_other):
     return (s_pref <= s_other).astype(float)
 
 
+def _require_ranked_pair(
+    scores: np.ndarray, message: str = "no two scores are strictly ordered"
+) -> None:
+    """Raise unless two scores are strictly ordered (NaN counts as unordered);
+    without such a pair the samplers' tie redraws would never end."""
+    if not (len(scores) > 0 and scores.max() > scores.min()):
+        raise ValueError(message)
+
+
+def _require_intra_pairs(
+    scores: np.ndarray, part: PartitionedDataset, intra_ratio: float
+) -> None:
+    if intra_ratio > 0.0:
+        _require_ranked_pair(
+            scores[part.near_idx],
+            "near set cannot form intra-region pairs; set intra_ratio=0",
+        )
+
+
 def sample_ranked_pairs(
     rng: np.random.Generator, scores: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +190,11 @@ def sample_ranked_pairs(
 
     Draws unordered candidate pairs with replacement and orients each by score;
     tied candidates are redrawn, which leaves the distribution uniform over the
-    strictly ranked pairs.
+    strictly ranked pairs.  Raises ValueError, before drawing, when no two
+    scores are strictly ordered.
     """
     scores = np.asarray(scores, dtype=float)
+    _require_ranked_pair(scores)
     m = len(scores)
     i = rng.integers(0, m, size=count)
     j = rng.integers(0, m, size=count)
@@ -198,9 +219,12 @@ def sample_dar_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mixture pair sampler: cross-region with probability 1 - intra_ratio,
     intra-region (both from the near set, preferred = higher score, ties
-    redrawn) otherwise.  Returns (pref, other, intra_mask).
+    redrawn) otherwise.  Returns (pref, other, intra_mask).  Raises
+    ValueError, before drawing, when intra_ratio > 0 and no two near scores
+    are strictly ordered.
     """
     scores = np.asarray(scores, dtype=float)
+    _require_intra_pairs(scores, part, intra_ratio)
     u = rng.random(count)
     intra = u > (1.0 - intra_ratio)
     pref = np.empty(count, dtype=np.int64)
@@ -233,6 +257,28 @@ def _standardize_inputs(model: MlpSurrogate, designs: np.ndarray) -> None:
     model.set_input_standardization(mean, std)
 
 
+def _descend(
+    model: MlpSurrogate, dataset: OfflineDataset, config: TrainConfig, next_batch
+) -> np.ndarray:
+    """Minibatch descent with one fused forward/backward pass per iteration.
+
+    ``next_batch(rng) -> (inputs, loss_fn)`` draws an iteration's batch; see
+    ``MlpSurrogate.loss_and_grads`` for ``loss_fn``.  Returns the loss trace.
+    """
+    _standardize_inputs(model, dataset.designs)
+    rng = np.random.default_rng(config.seed)
+    opt = _Optimizer(model, config)
+    trace = np.empty(config.iterations)
+    for it in range(config.iterations):
+        inputs, loss_fn = next_batch(rng)
+        loss, grads = model.loss_and_grads(inputs, loss_fn)
+        if grads is None:
+            raise TrainingDiverged(it)
+        trace[it] = loss
+        opt.step(model, *grads)
+    return trace
+
+
 def train_mse(
     model: MlpSurrogate, dataset: OfflineDataset, config: TrainConfig
 ) -> tuple[MlpSurrogate, np.ndarray]:
@@ -243,22 +289,19 @@ def train_mse(
     inference.  Returns the model and the per-iteration mean batch loss.
     """
     X, y = dataset.designs, dataset.scores
-    _standardize_inputs(model, X)
-    rng = np.random.default_rng(config.seed)
-    opt = _Optimizer(model, config)
-    m = len(y)
-    trace = np.empty(config.iterations)
-    for it in range(config.iterations):
-        idx = rng.integers(0, m, size=config.batch_size)
-        preds = model.forward_batch(X[idx])
-        resid = preds - y[idx]
-        loss = float(np.mean(resid**2))
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it)
-        trace[it] = loss
-        upstream = mse_loss_grad(preds, y[idx]) / config.batch_size
-        grads_w, grads_b = model.param_gradients(X[idx], upstream)
-        opt.step(model, grads_w, grads_b)
+    bs = config.batch_size
+
+    def next_batch(rng):
+        idx = rng.integers(0, len(y), size=bs)
+        y_batch = y[idx]
+
+        def loss_fn(preds):
+            loss = float(np.mean(mse_loss(preds, y_batch)))
+            return loss, mse_loss_grad(preds, y_batch) / bs
+
+        return X[idx], loss_fn
+
+    trace = _descend(model, dataset, config, next_batch)
     model.objective = "mse"
     model.train_config = config.to_dict()
     return model, trace
@@ -272,24 +315,19 @@ def _train_pairwise(
     tag: str,
 ) -> tuple[MlpSurrogate, np.ndarray]:
     X = dataset.designs
-    _standardize_inputs(model, X)
-    rng = np.random.default_rng(config.seed)
-    opt = _Optimizer(model, config)
     bs = config.batch_size
-    trace = np.empty(config.iterations)
-    for it in range(config.iterations):
-        pref, other = draw_pairs(rng, bs)
-        inputs = np.vstack([X[pref], X[other]])
-        scores = model.forward_batch(inputs)
+
+    def loss_fn(scores):
         s_pref, s_other = scores[:bs], scores[bs:]
         loss = float(np.mean(margin_rank_loss(s_pref, s_other, config.margin)))
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it)
-        trace[it] = loss
         g_pref, g_other = margin_rank_loss_grad(s_pref, s_other, config.margin)
-        upstream = np.concatenate([g_pref, g_other]) / bs
-        grads_w, grads_b = model.param_gradients(inputs, upstream)
-        opt.step(model, grads_w, grads_b)
+        return loss, np.concatenate([g_pref, g_other]) / bs
+
+    def next_batch(rng):
+        pref, other = draw_pairs(rng, bs)
+        return np.vstack([X[pref], X[other]]), loss_fn
+
+    trace = _descend(model, dataset, config, next_batch)
     zscore_adapt(model, dataset)
     model.objective = tag
     model.train_config = config.to_dict()
@@ -302,8 +340,7 @@ def train_rank_global(
     """Margin-loss descent on pairs drawn uniformly from all strictly ranked
     index pairs of the dataset, followed by z-score output adaptation."""
     y = dataset.scores
-    if np.all(y == y[0]):
-        raise ValueError("all scores identical; no ranked pairs exist")
+    _require_ranked_pair(y)
 
     def draw(rng, count):
         return sample_ranked_pairs(rng, y, count)
@@ -318,12 +355,7 @@ def train_dar(
     margin-loss descent, then z-score output adaptation."""
     part = partition(dataset, config.near_fraction)
     y = dataset.scores
-    if config.intra_ratio > 0.0:
-        near_scores = y[part.near_idx]
-        if part.n_near < 2 or np.all(near_scores == near_scores[0]):
-            raise ValueError(
-                "near set cannot form intra-region pairs; set intra_ratio=0"
-            )
+    _require_intra_pairs(y, part, config.intra_ratio)
 
     def draw(rng, count):
         pref, other, _ = sample_dar_pairs(rng, y, part, config.intra_ratio, count)

@@ -6,6 +6,11 @@ respect to both the parameters (for training) and the raw input (for design
 search).  The ReLU subgradient at exactly 0 is defined as 0, which keeps all
 gradients deterministic.
 
+A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
+pass once, hands the scores to the trainer's loss function and backpropagates
+its upstream gradients through the cached activations.  The optimizer keeps
+Adam's moments as flat buffers and updates the model's arrays in place.
+
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
 designs, so gradient magnitudes during design search are comparable across
@@ -162,10 +167,32 @@ class MlpSurrogate:
         up = np.asarray(upstream_grads, dtype=float).reshape(-1)
         if len(up) != len(X):
             raise ValueError("need one upstream gradient per batch input")
-        _, (Z, A1, H1, A2, H2) = self._forward_cache(X)
+        _, cache = self._forward_cache(X)
+        return self._backward(cache, up)
+
+    def loss_and_grads(self, X: np.ndarray, loss_fn):
+        """Loss and parameter gradients of one batch from a single forward pass.
+
+        ``loss_fn(scores) -> (loss, upstream)`` receives the network outputs for
+        the rows of ``X`` and returns the scalar loss and its derivative with
+        respect to each score.  Returns ``(loss, (grads_w, grads_b))``; when the
+        loss is not finite the backward pass is skipped and the gradients are
+        ``None``.
+        """
+        scores, cache = self._forward_cache(X)
+        loss, upstream = loss_fn(scores)
+        if not np.isfinite(loss):
+            return loss, None
+        up = np.asarray(upstream, dtype=float).reshape(-1)
+        if len(up) != len(scores):
+            raise ValueError("need one upstream gradient per batch input")
+        return loss, self._backward(cache, up)
+
+    def _backward(self, cache, up: np.ndarray):
+        Z, A1, H1, A2, H2 = cache
         gw3 = up[None, :] @ H2
         gb3 = np.array([up.sum()])
-        d2 = np.outer(up, self.weights[2][0]) * (A2 > 0.0)
+        d2 = up[:, None] * self.weights[2][0] * (A2 > 0.0)
         gw2 = d2.T @ H1
         gb2 = d2.sum(axis=0)
         d1 = (d2 @ self.weights[1]) * (A1 > 0.0)
@@ -294,16 +321,23 @@ def load_model(path: str | Path) -> MlpSurrogate:
 
 
 class _Optimizer:
-    """SGD or Adam over the surrogate parameter list, with optional weight decay."""
+    """SGD or Adam over the surrogate parameters, with optional weight decay.
+
+    Adam's two moments are each one flat buffer over the parameters in the
+    order W1, W2, W3, b1, b2, b3.  A step concatenates the gradients once,
+    computes the whole update as one vectorised expression and subtracts its
+    slices in place from the model's own arrays, which are never rebound.
+    """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
         self.config = config
         self.t = 0
+        params = model.weights + model.biases
+        ends = np.cumsum([p.size for p in params])
+        self.slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
         if config.optimizer == "adam":
-            self.m_w = [np.zeros_like(w) for w in model.weights]
-            self.v_w = [np.zeros_like(w) for w in model.weights]
-            self.m_b = [np.zeros_like(b) for b in model.biases]
-            self.v_b = [np.zeros_like(b) for b in model.biases]
+            self.m = np.zeros(ends[-1])
+            self.v = np.zeros(ends[-1])
 
     def step(
         self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
@@ -311,22 +345,19 @@ class _Optimizer:
         cfg = self.config
         if cfg.weight_decay > 0.0:
             grads_w = [g + cfg.weight_decay * w for g, w in zip(grads_w, model.weights)]
+        g = np.concatenate([x.ravel() for x in grads_w + grads_b])
         if cfg.optimizer == "sgd":
-            for i in range(3):
-                model.weights[i] -= cfg.learning_rate * grads_w[i]
-                model.biases[i] -= cfg.learning_rate * grads_b[i]
-            return
-        self.t += 1
-        corr1 = 1.0 - cfg.adam_beta1**self.t
-        corr2 = 1.0 - cfg.adam_beta2**self.t
-        for i in range(3):
-            self.m_w[i] = cfg.adam_beta1 * self.m_w[i] + (1 - cfg.adam_beta1) * grads_w[i]
-            self.v_w[i] = cfg.adam_beta2 * self.v_w[i] + (1 - cfg.adam_beta2) * grads_w[i] ** 2
-            model.weights[i] -= cfg.learning_rate * (self.m_w[i] / corr1) / (
-                np.sqrt(self.v_w[i] / corr2) + cfg.adam_eps
+            update = cfg.learning_rate * g
+        else:
+            self.t += 1
+            corr1 = 1.0 - cfg.adam_beta1**self.t
+            corr2 = 1.0 - cfg.adam_beta2**self.t
+            self.m *= cfg.adam_beta1
+            self.m += (1 - cfg.adam_beta1) * g
+            self.v *= cfg.adam_beta2
+            self.v += (1 - cfg.adam_beta2) * g**2
+            update = cfg.learning_rate * (self.m / corr1) / (
+                np.sqrt(self.v / corr2) + cfg.adam_eps
             )
-            self.m_b[i] = cfg.adam_beta1 * self.m_b[i] + (1 - cfg.adam_beta1) * grads_b[i]
-            self.v_b[i] = cfg.adam_beta2 * self.v_b[i] + (1 - cfg.adam_beta2) * grads_b[i] ** 2
-            model.biases[i] -= cfg.learning_rate * (self.m_b[i] / corr1) / (
-                np.sqrt(self.v_b[i] / corr2) + cfg.adam_eps
-            )
+        for p, sl in zip(model.weights + model.biases, self.slices):
+            p -= update[sl].reshape(p.shape)

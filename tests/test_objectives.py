@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmbo.objectives import (
     DarConfig,
@@ -197,6 +199,61 @@ class TestPairSamplers:
         assert np.all(np.isin(other, part.near_idx))
         assert np.all(scores[pref] > scores[other])
 
+    def test_ranked_pairs_without_ranked_pair_raise(self):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for scores in (np.zeros(5), np.array([2.0]), np.array([]), np.array([np.nan, 1.0])):
+            with pytest.raises(ValueError):
+                sample_ranked_pairs(rng, scores, 3)
+        assert rng.bit_generator.state == state
+
+    def test_dar_intra_without_ranked_near_pair_raises(self):
+        rng = np.random.default_rng(5)
+        scores = np.array([0.0, 1.0, 2.0, 5.0, 5.0])
+        part = partition_scores(scores, 0.4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="intra_ratio=0"):
+            sample_dar_pairs(rng, scores, part, 0.1, 3)
+        assert rng.bit_generator.state == state
+        pref, other, intra = sample_dar_pairs(rng, scores, part, 0.0, 50)
+        assert not intra.any() and np.all(scores[pref] > scores[other])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 4), min_size=2, max_size=30),
+        near_fraction=st.floats(0.05, 0.95),
+        intra_ratio=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        count=st.integers(0, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returned_pairs_strictly_ranked(
+        self, values, near_fraction, intra_ratio, count, seed
+    ):
+        scores = np.array(values, dtype=float)
+        rng = np.random.default_rng(seed)
+        if np.all(scores == scores[0]):
+            with pytest.raises(ValueError):
+                sample_ranked_pairs(rng, scores, count)
+            return
+        pref, other = sample_ranked_pairs(rng, scores, count)
+        assert len(pref) == count
+        assert np.all(scores[pref] > scores[other])
+
+        threshold, _ = brute_force_partition(scores, near_fraction)
+        if threshold == scores.min():
+            return  # every score would be near; the partition is undefined
+        part = partition_scores(scores, near_fraction)
+        near = scores[part.near_idx]
+        if intra_ratio > 0.0 and np.all(near == near[0]):
+            with pytest.raises(ValueError):
+                sample_dar_pairs(rng, scores, part, intra_ratio, count)
+            return
+        pref, other, intra = sample_dar_pairs(rng, scores, part, intra_ratio, count)
+        assert np.all(scores[pref] > scores[other])
+        assert np.all(np.isin(pref, part.near_idx))
+        assert np.all(np.isin(other[intra], part.near_idx))
+        assert np.all(np.isin(other[~intra], part.sub_idx))
+
 
 class TestTrainMse:
     def test_fits_two_points(self):
@@ -223,11 +280,12 @@ class TestTrainMse:
     def test_divergence_reports_iteration(self):
         ds = small_dataset([[0.0], [1.0]], [0.0, 1e200])
         model = init_surrogate(1, 8, seed=0)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as exc:
             train_mse(
                 model, ds,
                 TrainConfig(iterations=500, batch_size=4, learning_rate=1e150, optimizer="sgd", seed=1),
             )
+        assert exc.value.iteration == 0
 
     def test_deterministic(self):
         ds = small_dataset([[0.0], [0.5], [1.0]], [0.0, 0.2, 1.0])
@@ -255,6 +313,17 @@ class TestTrainRankGlobal:
         ds = small_dataset([[0.0], [1.0]], [1.0, 1.0])
         with pytest.raises(ValueError):
             train_rank_global(init_surrogate(1, 8, seed=0), ds, RankConfig(seed=0))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflow_under_saturated_hinge_raises(self):
+        # an infinite score gives a finite hinge loss, so only the per-layer
+        # activation checks of the forward pass catch the overflow
+        assert margin_rank_loss(np.inf, 1.0, 0.4) == 0.0
+        ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
+        model = init_surrogate(1, 8, seed=2, init_scale=4.0)
+        model.weights[1][0, 0] = 1e308
+        with pytest.raises(FloatingPointError, match="layer"):
+            train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
 
     def test_zero_margin_ordered_model_is_fixed_point(self):
         # identity-like model already orders the two points; margin 0 gives no gradient

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmbo.surrogate import (
     MlpSurrogate,
     TrainConfig,
+    _Optimizer,
     init_surrogate,
     load_model,
     save_model,
@@ -147,6 +150,108 @@ class TestParamGradients:
         m = init_surrogate(2, 4, seed=0)
         with pytest.raises(ValueError):
             m.param_gradients(np.zeros((3, 2)), np.zeros(2))
+
+
+class TestLossAndGrads:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_forward_then_param_gradients(self, dim, hidden, n, seed):
+        rng = np.random.default_rng(seed)
+        m = init_surrogate(dim, hidden, seed=seed)
+        for b in m.biases:
+            b += rng.normal(size=b.shape)
+        m.set_input_standardization(rng.normal(size=dim), rng.uniform(0.5, 2.0, size=dim))
+        X = rng.normal(scale=3.0, size=(n, dim))
+        up = rng.normal(size=n)
+        seen = []
+
+        def loss_fn(scores):
+            seen.append(scores)
+            return float(np.dot(up, scores)), up
+
+        loss, (gw, gb) = m.loss_and_grads(X, loss_fn)
+        scores = m.forward_batch(X)
+        rw, rb = m.param_gradients(X, up)
+        assert len(seen) == 1 and np.array_equal(seen[0], scores)
+        assert loss == float(np.dot(up, scores))
+        for a, b in zip(gw + gb, rw + rb):
+            assert np.array_equal(a, b)
+
+    def test_nonfinite_loss_skips_backward(self):
+        m = init_surrogate(2, 4, seed=0)
+        # an upstream of the wrong length would raise if the backward pass ran
+        loss, grads = m.loss_and_grads(
+            np.zeros((3, 2)), lambda s: (float("inf"), np.zeros(len(s) + 1))
+        )
+        assert loss == float("inf") and grads is None
+
+    def test_upstream_length_mismatch(self):
+        m = init_surrogate(2, 4, seed=0)
+        with pytest.raises(ValueError):
+            m.loss_and_grads(np.zeros((3, 2)), lambda s: (0.0, np.zeros(2)))
+
+
+class _PerLayerOptimizer:
+    """Per-layer SGD/Adam update, the reference for the flat-moment optimizer."""
+
+    def __init__(self, model, config):
+        self.config = config
+        self.t = 0
+        if config.optimizer == "adam":
+            self.m_w = [np.zeros_like(w) for w in model.weights]
+            self.v_w = [np.zeros_like(w) for w in model.weights]
+            self.m_b = [np.zeros_like(b) for b in model.biases]
+            self.v_b = [np.zeros_like(b) for b in model.biases]
+
+    def step(self, model, grads_w, grads_b):
+        cfg = self.config
+        if cfg.weight_decay > 0.0:
+            grads_w = [g + cfg.weight_decay * w for g, w in zip(grads_w, model.weights)]
+        if cfg.optimizer == "sgd":
+            for i in range(3):
+                model.weights[i] -= cfg.learning_rate * grads_w[i]
+                model.biases[i] -= cfg.learning_rate * grads_b[i]
+            return
+        self.t += 1
+        corr1 = 1.0 - cfg.adam_beta1**self.t
+        corr2 = 1.0 - cfg.adam_beta2**self.t
+        for i in range(3):
+            self.m_w[i] = cfg.adam_beta1 * self.m_w[i] + (1 - cfg.adam_beta1) * grads_w[i]
+            self.v_w[i] = cfg.adam_beta2 * self.v_w[i] + (1 - cfg.adam_beta2) * grads_w[i] ** 2
+            model.weights[i] -= cfg.learning_rate * (self.m_w[i] / corr1) / (
+                np.sqrt(self.v_w[i] / corr2) + cfg.adam_eps
+            )
+            self.m_b[i] = cfg.adam_beta1 * self.m_b[i] + (1 - cfg.adam_beta1) * grads_b[i]
+            self.v_b[i] = cfg.adam_beta2 * self.v_b[i] + (1 - cfg.adam_beta2) * grads_b[i] ** 2
+            model.biases[i] -= cfg.learning_rate * (self.m_b[i] / corr1) / (
+                np.sqrt(self.v_b[i] / corr2) + cfg.adam_eps
+            )
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_per_layer_reference(self, optimizer, weight_decay):
+        cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay, learning_rate=1e-2)
+        rng = np.random.default_rng(3)
+        model, ref = init_surrogate(3, 6, seed=1), init_surrogate(3, 6, seed=1)
+        held = model.weights + model.biases
+        opt, ref_opt = _Optimizer(model, cfg), _PerLayerOptimizer(ref, cfg)
+        for _ in range(40):
+            X = rng.normal(size=(8, 3))
+            up = rng.normal(size=8)
+            opt.step(model, *model.param_gradients(X, up))
+            ref_opt.step(ref, *ref.param_gradients(X, up))
+        trained = ref.weights + ref.biases
+        assert not np.array_equal(trained[0], init_surrogate(3, 6, seed=1).weights[0])
+        for a, b, h in zip(model.weights + model.biases, trained, held):
+            assert a is h
+            assert np.array_equal(h, b)
 
 
 class TestInputGradient:

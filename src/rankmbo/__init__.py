@@ -49,7 +49,6 @@ from .diagnostics import (
     audit_marginal_decomposition,
     audit_mse_to_rank,
     build_ranking_report,
-    dist_to_manifold,
     make_eval_pool,
     ranking_error,
     ranking_error_vs_radius,
@@ -94,7 +93,6 @@ __all__ = [
     "audit_marginal_decomposition",
     "audit_mse_to_rank",
     "build_ranking_report",
-    "dist_to_manifold",
     "make_eval_pool",
     "ranking_error",
     "ranking_error_vs_radius",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ValidationError, reseed, set_by_path
+from .config import ExperimentConfig, reseed, set_by_path
 from .diagnostics import (
     audit_marginal_decomposition,
     audit_mse_to_rank,
@@ -27,7 +27,6 @@ from .diagnostics import (
     make_eval_pool,
     save_bound_reports,
     save_radius_rows,
-    save_report_summary,
 )
 from .objectives import (
     DarConfig,

@@ -46,7 +46,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or the optimizer state becomes non-finite."""
 
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
@@ -275,7 +275,10 @@ def _descend(
         if grads is None:
             raise TrainingDiverged(it)
         trace[it] = loss
-        opt.step(model, *grads)
+        if not opt.step(model, *grads):
+            raise TrainingDiverged(
+                it, f"optimizer state became non-finite at iteration {it}"
+            )
     return trace
 
 

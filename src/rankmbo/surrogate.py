@@ -341,7 +341,10 @@ class _Optimizer:
 
     def step(
         self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
-    ) -> None:
+    ) -> bool:
+        """Apply one update; return False, leaving the model untouched, when
+        Adam's second moment has overflowed (an inf entry would freeze its
+        parameter silently)."""
         cfg = self.config
         if cfg.weight_decay > 0.0:
             grads_w = [g + cfg.weight_decay * w for g, w in zip(grads_w, model.weights)]
@@ -356,8 +359,11 @@ class _Optimizer:
             self.m += (1 - cfg.adam_beta1) * g
             self.v *= cfg.adam_beta2
             self.v += (1 - cfg.adam_beta2) * g**2
+            if not np.isfinite(self.v).all():
+                return False
             update = cfg.learning_rate * (self.m / corr1) / (
                 np.sqrt(self.v / corr2) + cfg.adam_eps
             )
         for p, sl in zip(model.weights + model.biases, self.slices):
             p -= update[sl].reshape(p.shape)
+        return True

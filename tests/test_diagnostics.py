@@ -3,13 +3,14 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmbo.diagnostics import (
     EvalPool,
     audit_marginal_decomposition,
     audit_mse_to_rank,
     build_ranking_report,
-    dist_to_manifold,
     make_eval_pool,
     manifold_distances,
     product_pairs,
@@ -95,28 +96,54 @@ class TestRankingError:
         assert ranking_error(lambda X: np.exp(base(X)), near, sub) == err
         assert ranking_error(lambda X: 3.0 * base(X) + 7.0, near, sub) == err
 
-    def test_subsampled_path_close_to_exhaustive(self):
-        rng = np.random.default_rng(5)
-        near = rng.normal(size=(100, 2))
-        sub = rng.normal(size=(100, 2))
-        w = rng.normal(size=2)
-        fn = lambda X: np.atleast_2d(X) @ w
-        exact = ranking_error(fn, near, sub)
-        approx = ranking_error(fn, near, sub, pair_cap=5000, seed=8)
-        assert abs(exact - approx) < 0.05
+    # few distinct values force ties, including between infinities
+    tied_scores = st.lists(
+        st.sampled_from([-np.inf, 0.0, 1.0, 2.0, np.inf]), min_size=1, max_size=30
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_scores, tied_scores)
+    def test_equals_brute_force_matrix_with_ties(self, h_near, h_sub):
+        h_near, h_sub = np.array(h_near), np.array(h_sub)
+        fn = lambda X: X[:, 0]
+        err = ranking_error(fn, h_near[:, None], h_sub[:, None])
+        assert err == np.mean(h_near[:, None] <= h_sub[None, :])
+
+    def test_exact_beyond_ten_million_pairs(self):
+        # near i is ranked at or below sub j + 0.5 for every j >= i: 5000 - i
+        # wrong pairs each, 12_502_500 of the 25M in all
+        n = 5000
+        near = np.arange(n, dtype=float)[:, None]
+        sub = near + 0.5
+        assert ranking_error(lambda X: X[:, 0], near, sub) == 12_502_500 / 25_000_000
+
+    def test_nan_scores_rejected(self):
+        def fn(X):
+            out = X[:, 0].copy()
+            out[out == 1.0] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="NaN"):
+            ranking_error(fn, np.array([[1.0], [2.0]]), np.array([[0.0]]))
+        with pytest.raises(ValueError, match="NaN"):
+            ranking_error(fn, np.array([[2.0]]), np.array([[0.0], [1.0]]))
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             ranking_error(lambda X: np.zeros(len(X)), np.zeros((0, 2)), np.zeros((3, 2)))
 
 
+def single_distance(x, M):
+    return manifold_distances(x[None, :], M)[0]
+
+
 class TestManifoldDistance:
     def test_member_distance_zero(self):
         M = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert dist_to_manifold(np.array([1.0, 1.0]), M) == 0.0
+        assert single_distance(np.array([1.0, 1.0]), M) == 0.0
 
     def test_three_four_five(self):
-        assert dist_to_manifold(np.array([3.0, 4.0]), np.zeros((1, 2))) == 5.0
+        assert single_distance(np.array([3.0, 4.0]), np.zeros((1, 2))) == 5.0
 
     def test_adding_points_never_increases_distance(self):
         rng = np.random.default_rng(6)
@@ -124,16 +151,17 @@ class TestManifoldDistance:
             M = rng.normal(size=(10, 3))
             extra = rng.normal(size=(5, 3))
             x = rng.normal(size=3)
-            d1 = dist_to_manifold(x, M)
-            d2 = dist_to_manifold(x, np.vstack([M, extra]))
+            d1 = single_distance(x, M)
+            d2 = single_distance(x, np.vstack([M, extra]))
             assert d2 <= d1
 
     def test_batch_matches_single(self):
+        # each row scored alone equals its row of the batch
         rng = np.random.default_rng(7)
         M = rng.normal(size=(20, 2))
         X = rng.normal(size=(9, 2))
         batch = manifold_distances(X, M)
-        singles = np.array([dist_to_manifold(x, M) for x in X])
+        singles = np.array([single_distance(x, M) for x in X])
         assert np.allclose(batch, singles, atol=0)
 
 

@@ -325,6 +325,20 @@ class TestTrainRankGlobal:
         with pytest.raises(FloatingPointError, match="layer"):
             train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_adam_moment_overflow_raises(self):
+        # the scores and the loss stay finite, but the squared gradient
+        # overflows Adam's second moment, which would freeze those parameters
+        ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
+        model = init_surrogate(1, 8, seed=0, init_scale=4.0)
+        model.weights[1][0, 0] = 1e308
+        before = [w.copy() for w in model.weights]
+        with pytest.raises(TrainingDiverged) as exc:
+            train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
+        assert exc.value.iteration == 0
+        for w, b in zip(model.weights, before):
+            assert np.array_equal(w, b)
+
     def test_zero_margin_ordered_model_is_fixed_point(self):
         # identity-like model already orders the two points; margin 0 gives no gradient
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])

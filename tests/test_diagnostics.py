@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rankmbo.diagnostics import (
     EvalPool,
@@ -164,6 +165,58 @@ class TestManifoldDistance:
         singles = np.array([single_distance(x, M) for x in X])
         assert np.allclose(batch, singles, atol=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        X = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="X must be finite"):
+            manifold_distances(X, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_manifold_rejected(self, bad):
+        M = np.array([[0.0, 1.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="manifold must be finite"):
+            manifold_distances(np.zeros((3, 2)), M)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force_in_shipped_dims(self, data):
+        X, M = data.draw(query_and_manifold(dims=(1, 2)))
+        assert np.array_equal(manifold_distances(X, M), cdist(X, M).min(axis=1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_brute_force_on_a_large_pool(self, dim):
+        # big enough for the tree to prune many leaves; an approximate search
+        # (a nonzero eps) misses some nearest points here
+        rng = np.random.default_rng(16)
+        M = rng.uniform(-5.0, 5.0, size=(3000, dim))
+        X = np.vstack([rng.uniform(-6.0, 6.0, size=(2000, dim)), M[:100]])
+        assert np.array_equal(manifold_distances(X, M), cdist(X, M).min(axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_close_to_brute_force_in_higher_dims(self, data):
+        X, M = data.draw(query_and_manifold(dims=(3, 4, 5, 6)))
+        np.testing.assert_allclose(
+            manifold_distances(X, M), cdist(X, M).min(axis=1), rtol=1e-12, atol=1e-12
+        )
+
+
+coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def query_and_manifold(draw, dims):
+    """(X, M) with duplicate manifold points, one-point manifolds and query
+    points that lie on the manifold all in reach.  Manifolds reach past the
+    k-d tree's 16-point leaves, so its pruning is exercised."""
+    d = draw(st.sampled_from(dims))
+    point = st.lists(coords, min_size=d, max_size=d)
+    M = draw(st.lists(point, min_size=1, max_size=80))
+    M += draw(st.lists(st.sampled_from(M), max_size=8))
+    X = draw(st.lists(point, max_size=12))
+    X += draw(st.lists(st.sampled_from(M), min_size=0 if X else 1, max_size=4))
+    return np.array(X, dtype=float), np.array(M, dtype=float)
+
 
 class TestRadiusSweep:
     def _setup(self):
@@ -198,10 +251,36 @@ class TestRadiusSweep:
 
     def test_radii_validation(self):
         task, ds, pool = self._setup()
-        with pytest.raises(ValueError):
-            ranking_error_vs_radius(task.evaluate_batch, pool, ds.designs, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            ranking_error_vs_radius(task.evaluate_batch, pool, ds.designs, [-1.0])
+        sweep = lambda radii: ranking_error_vs_radius(
+            task.evaluate_batch, pool, ds.designs, radii
+        )
+        report = lambda radii: build_ranking_report(task.evaluate_batch, pool, ds, radii)
+        for run in (sweep, report):
+            with pytest.raises(ValueError, match="ascending"):
+                run([2.0, 1.0])
+            with pytest.raises(ValueError, match="ascending"):
+                run([1.0, 1.0])
+            with pytest.raises(ValueError, match="positive"):
+                run([-1.0])
+            with pytest.raises(ValueError, match="positive"):
+                run([0.0, 1.0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.integers(0, 10**9), min_size=1, max_size=6))
+    def test_counts_match_brute_force(self, seed, picks):
+        # radii sit exactly on pool distances, so the <= boundary is exercised
+        task = quadratic_bowl_task(dim=2)
+        ds = make_offline_dataset(task, 60, 0.6, seed=seed)
+        pool = make_eval_pool(task, 120, 0.1, seed=seed + 1)
+        d_sub = cdist(pool.sub_designs, ds.designs).min(axis=1)
+        radii = sorted({float(d_sub[p % len(d_sub)]) for p in picks} - {0.0})
+        if not radii:
+            return
+        expected = [int((d_sub <= r).sum()) for r in radii]
+        rows = ranking_error_vs_radius(task.evaluate_batch, pool, ds.designs, radii)
+        assert [r.n_restricted for r in rows] == expected
+        report = build_ranking_report(task.evaluate_batch, pool, ds, radii, w1_sample_size=8)
+        assert [r.n_restricted for r in report.rows] == expected
 
     def test_report_fields(self):
         task, ds, pool = self._setup()
@@ -214,6 +293,51 @@ class TestRadiusSweep:
         assert report.mean_dist_to_manifold >= 0.0
         assert report.manifold_diameter > 0.0
         assert report.n_near == len(pool.near_idx)
+
+    def test_report_scores_each_side_once(self):
+        task, ds, pool = self._setup()
+        scorer = CountingScorer(wiggly_score)
+        radii = [0.1, 0.3, 0.8, 2.0, 1e9]
+        report = build_ranking_report(scorer, pool, ds, radii, w1_sample_size=16)
+        assert scorer.calls == 2
+        assert report.overall_error == ranking_error(
+            wiggly_score, pool.near_designs, pool.sub_designs
+        )
+        assert report.rows == ranking_error_vs_radius(wiggly_score, pool, ds.designs, radii)
+        assert 0.0 < report.overall_error < 1.0
+        assert report.mean_dist_to_manifold == manifold_distances(
+            pool.near_designs, ds.designs
+        ).mean()
+        # a row-wise scorer gives the same rows as scoring each restriction alone
+        d_sub = manifold_distances(pool.sub_designs, ds.designs)
+        for row in report.rows:
+            mask = d_sub <= row.radius
+            if row.n_restricted:
+                assert row.error == ranking_error(
+                    wiggly_score, pool.near_designs, pool.sub_designs[mask]
+                )
+
+    def test_sweep_scores_each_side_once(self):
+        task, ds, pool = self._setup()
+        scorer = CountingScorer(wiggly_score)
+        ranking_error_vs_radius(scorer, pool, ds.designs, [0.1, 0.3, 0.8, 2.0])
+        assert scorer.calls == 2
+
+
+class CountingScorer:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, X):
+        self.calls += 1
+        return self.fn(X)
+
+
+def wiggly_score(X):
+    """Row-wise scorer that misranks some pairs of the bowl."""
+    X = np.atleast_2d(X)
+    return -np.sum(X**2, axis=1) + 3.0 * np.sin(5.0 * X[:, 0])
 
 
 class TestWassersteinSorted:
@@ -343,6 +467,17 @@ class TestAuditMseToRank:
         rep = audit_mse_to_rank(truth, near, sub, f_sub[:20], f_near, tol=1e-9)
         assert not rep.applicable
         assert rep.holds is None
+
+    def test_scores_each_side_once(self):
+        near, sub, f_near, f_sub, _ = self._pool(seed=3)
+        scorer = CountingScorer(wiggly_score)
+        rep = audit_mse_to_rank(scorer, near, sub, f_near, f_sub)
+        assert scorer.calls == 2
+        assert rep.lhs == ranking_error(wiggly_score, near, sub)
+        mse = np.mean((wiggly_score(near) - f_near) ** 2) + np.mean(
+            (wiggly_score(sub) - f_sub) ** 2
+        )
+        assert rep.rhs == 4.0 / rep.value_gap**2 * mse
 
     def test_random_scorers_never_violate(self):
         near, sub, f_near, f_sub, _ = self._pool(seed=1)

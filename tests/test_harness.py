@@ -244,6 +244,17 @@ class TestCli:
         err = json.loads(proc.stderr.strip().splitlines()[-1])
         assert err["field"] == "diagnostics.eval_near_fraction"
 
+    def test_bad_radii_exit_one_names_field(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG.replace("radii = 0.5, 1.0, 3.0", "radii = 1.0, 0.5"))
+        out = tmp_path / "out"
+        proc = self._cli("diagnose", "--config", str(cfg_file), "--out", str(out))
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["field"] == "diagnostics.radii"
+        assert err["stage"] == "diagnose"
+
     def test_staged_pipeline_and_compare(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(FAST_CFG)

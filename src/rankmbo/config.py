@@ -11,6 +11,8 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .diagnostics import _check_radii
+
 __all__ = [
     "ValidationError",
     "TaskBlock",
@@ -230,10 +232,10 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if len(d.radii) == 0:
         raise ValidationError("diagnostics.radii", "must list at least one radius")
-    if any(r <= 0.0 for r in d.radii):
-        raise ValidationError("diagnostics.radii", "radii must be positive")
-    if any(b <= a for a, b in zip(d.radii, d.radii[1:])):
-        raise ValidationError("diagnostics.radii", "radii must be strictly ascending")
+    try:
+        _check_radii(d.radii)
+    except ValueError as exc:
+        raise ValidationError("diagnostics.radii", str(exc)) from None
     if d.w1_sample_size < 1:
         raise ValidationError("diagnostics.w1_sample_size", "must be positive")
     if d.mse_rank_audit_trials < 0:

@@ -271,7 +271,7 @@ def _descend(
     trace = np.empty(config.iterations)
     for it in range(config.iterations):
         inputs, loss_fn = next_batch(rng)
-        loss, grads = model.loss_and_grads(inputs, loss_fn)
+        loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads)
         if grads is None:
             raise TrainingDiverged(it)
         trace[it] = loss

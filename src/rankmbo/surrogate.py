@@ -8,8 +8,13 @@ gradients deterministic.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
-its upstream gradients through the cached activations.  The optimizer keeps
-Adam's moments as flat buffers and updates the model's arrays in place.
+its upstream gradients through the cached activations, writing them straight
+into views of the optimizer's flat gradient buffer.  The optimizer keeps
+Adam's moments as flat buffers too and runs its update over fixed
+cache-sized blocks of them, then subtracts the update from the model's arrays
+in place.  At paper width (4.2M parameters) a step therefore allocates no
+parameter-sized array, and the arithmetic, operation for operation, is that
+of the plain whole-buffer expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -170,14 +175,16 @@ class MlpSurrogate:
         _, cache = self._forward_cache(X)
         return self._backward(cache, up)
 
-    def loss_and_grads(self, X: np.ndarray, loss_fn):
+    def loss_and_grads(self, X: np.ndarray, loss_fn, out=None):
         """Loss and parameter gradients of one batch from a single forward pass.
 
         ``loss_fn(scores) -> (loss, upstream)`` receives the network outputs for
         the rows of ``X`` and returns the scalar loss and its derivative with
         respect to each score.  Returns ``(loss, (grads_w, grads_b))``; when the
         loss is not finite the backward pass is skipped and the gradients are
-        ``None``.
+        ``None``.  ``out``, when given, is a ``(grads_w, grads_b)`` pair of
+        C-contiguous arrays shaped like the parameters; the gradients are
+        written into them and ``out`` itself is returned.
         """
         scores, cache = self._forward_cache(X)
         loss, upstream = loss_fn(scores)
@@ -186,19 +193,25 @@ class MlpSurrogate:
         up = np.asarray(upstream, dtype=float).reshape(-1)
         if len(up) != len(scores):
             raise ValueError("need one upstream gradient per batch input")
-        return loss, self._backward(cache, up)
+        return loss, self._backward(cache, up, out)
 
-    def _backward(self, cache, up: np.ndarray):
+    def _backward(self, cache, up: np.ndarray, out=None):
+        if out is None:
+            out = (
+                [np.empty_like(w) for w in self.weights],
+                [np.empty_like(b) for b in self.biases],
+            )
+        (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, A1, H1, A2, H2 = cache
-        gw3 = up[None, :] @ H2
-        gb3 = np.array([up.sum()])
+        np.matmul(up[None, :], H2, out=gw3)
+        gb3[0] = up.sum()
         d2 = up[:, None] * self.weights[2][0] * (A2 > 0.0)
-        gw2 = d2.T @ H1
-        gb2 = d2.sum(axis=0)
+        np.matmul(d2.T, H1, out=gw2)
+        np.sum(d2, axis=0, out=gb2)
         d1 = (d2 @ self.weights[1]) * (A1 > 0.0)
-        gw1 = d1.T @ Z
-        gb1 = d1.sum(axis=0)
-        return [gw1, gw2, gw3], [gb1, gb2, gb3]
+        np.matmul(d1.T, Z, out=gw1)
+        np.sum(d1, axis=0, out=gb1)
+        return out
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of h at each row, w.r.t. the raw (unstandardized) input."""
@@ -320,13 +333,26 @@ def load_model(path: str | Path) -> MlpSurrogate:
         return MlpSurrogate.from_dict(json.load(fh))
 
 
+# Adam works through the flat buffers in blocks of this many float64 entries
+# (256 KiB), so each block's operands and scratch stay in L2 cache instead of
+# streaming a whole paper-width buffer (33.6 MB) through memory once per
+# operation.
+_BLOCK = 32768
+
+
 class _Optimizer:
     """SGD or Adam over the surrogate parameters, with optional weight decay.
 
-    Adam's two moments are each one flat buffer over the parameters in the
-    order W1, W2, W3, b1, b2, b3.  A step concatenates the gradients once,
-    computes the whole update as one vectorised expression and subtracts its
-    slices in place from the model's own arrays, which are never rebound.
+    The optimizer owns one flat gradient buffer and one flat update buffer over
+    the parameters in the order W1, W2, W3, b1, b2, b3; Adam's two moments are
+    flat buffers in the same order.  ``grads`` holds per-parameter views of the
+    gradient buffer, for ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``
+    to write into, so a step at paper width allocates no parameter-sized
+    array.  Gradients that are not these views are copied in first.  Adam
+    runs in two passes over fixed ``_BLOCK`` views of the buffers: the first
+    updates the moments, then one check over all of ``v`` runs before the
+    second writes the update.  Each parameter then subtracts its slice of the
+    update in place; the model's own arrays are never rebound.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
@@ -334,10 +360,25 @@ class _Optimizer:
         self.t = 0
         params = model.weights + model.biases
         ends = np.cumsum([p.size for p in params])
-        self.slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
+        n = int(ends[-1])
+        self.grad = np.empty(n)
+        self.update = np.empty(n)
+
+        def views(flat):
+            return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+
+        grad_views = views(self.grad)
+        self.grads = (grad_views[:3], grad_views[3:])
+        self._update_views = views(self.update)
         if config.optimizer == "adam":
-            self.m = np.zeros(ends[-1])
-            self.v = np.zeros(ends[-1])
+            self.m = np.zeros(n)
+            self.v = np.zeros(n)
+            scratch = np.empty(min(n, _BLOCK))
+            self._blocks = []
+            for start in range(0, n, _BLOCK):
+                sl = slice(start, min(start + _BLOCK, n))
+                bufs = (self.grad[sl], self.m[sl], self.v[sl], self.update[sl])
+                self._blocks.append(bufs + (scratch[: sl.stop - start],))
 
     def step(
         self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
@@ -346,24 +387,36 @@ class _Optimizer:
         Adam's second moment has overflowed (an inf entry would freeze its
         parameter silently)."""
         cfg = self.config
+        own_w, own_b = self.grads
+        for g, dst in zip(grads_w + grads_b, own_w + own_b):
+            if g is not dst:
+                np.copyto(dst, g)
         if cfg.weight_decay > 0.0:
-            grads_w = [g + cfg.weight_decay * w for g, w in zip(grads_w, model.weights)]
-        g = np.concatenate([x.ravel() for x in grads_w + grads_b])
+            # the update buffer is free scratch until the update is written
+            for dst, w, tmp in zip(own_w, model.weights, self._update_views):
+                dst += np.multiply(cfg.weight_decay, w, out=tmp)
         if cfg.optimizer == "sgd":
-            update = cfg.learning_rate * g
+            np.multiply(cfg.learning_rate, self.grad, out=self.update)
         else:
+            b1, b2 = cfg.adam_beta1, cfg.adam_beta2
             self.t += 1
-            corr1 = 1.0 - cfg.adam_beta1**self.t
-            corr2 = 1.0 - cfg.adam_beta2**self.t
-            self.m *= cfg.adam_beta1
-            self.m += (1 - cfg.adam_beta1) * g
-            self.v *= cfg.adam_beta2
-            self.v += (1 - cfg.adam_beta2) * g**2
+            corr1 = 1.0 - b1**self.t
+            corr2 = 1.0 - b2**self.t
+            for g, m, v, _, s in self._blocks:
+                m *= b1
+                m += np.multiply(1 - b1, g, out=s)
+                v *= b2
+                np.square(g, out=s)
+                v += np.multiply(1 - b2, s, out=s)
             if not np.isfinite(self.v).all():
                 return False
-            update = cfg.learning_rate * (self.m / corr1) / (
-                np.sqrt(self.v / corr2) + cfg.adam_eps
-            )
-        for p, sl in zip(model.weights + model.biases, self.slices):
-            p -= update[sl].reshape(p.shape)
+            for _, m, v, u, s in self._blocks:
+                np.divide(m, corr1, out=u)
+                u *= cfg.learning_rate
+                np.divide(v, corr2, out=s)
+                np.sqrt(s, out=s)
+                s += cfg.adam_eps
+                u /= s
+        for p, u in zip(model.weights + model.biases, self._update_views):
+            p -= u
         return True

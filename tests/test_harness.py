@@ -74,6 +74,21 @@ class TestConfig:
             parse_config("[diagnostics]\neval_near_fraction = 1.5\n")
         assert excinfo.value.field == "diagnostics.eval_near_fraction"
 
+    @pytest.mark.parametrize(
+        "radii, message",
+        [
+            ("", "at least one radius"),
+            ("0.0, 1.0", "positive"),
+            ("-1.0", "positive"),
+            ("1.0, 1.0", "strictly ascending"),
+            ("2.0, 1.0", "strictly ascending"),
+        ],
+    )
+    def test_bad_radii_name_field(self, radii, message):
+        with pytest.raises(ValidationError, match=message) as excinfo:
+            parse_config(f"[diagnostics]\nradii = {radii}\n")
+        assert excinfo.value.field == "diagnostics.radii"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("[train]\nlearningrate = 0.1\n")

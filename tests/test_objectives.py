@@ -23,7 +23,7 @@ from rankmbo.objectives import (
     train_rank_global,
     zero_one_rank_loss,
 )
-from rankmbo.surrogate import TrainConfig, init_surrogate
+from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate
 from rankmbo.tasks import OfflineDataset, quadratic_bowl_task
 
 
@@ -338,6 +338,40 @@ class TestTrainRankGlobal:
         assert exc.value.iteration == 0
         for w, b in zip(model.weights, before):
             assert np.array_equal(w, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_adam_moment_overflow_in_last_block_raises(self):
+        # as above, at a width where the flat buffers span several blocks; a
+        # tiny W3[0, 0] keeps every squared gradient finite except W3[0, 0]'s,
+        # which lies in the partial last block
+        ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
+
+        def make_model():
+            model = init_surrogate(1, 200, seed=0, init_scale=4.0)
+            model.weights[1][0, 0] = 1e308
+            model.weights[2][0, 0] = -1e-160
+            return model
+
+        # every batch pairs x=1 (preferred) against x=0, all hinges active
+        probe = make_model()
+        probe.set_input_standardization(np.array([0.5]), np.array([0.5]))
+        gw, gb = probe.param_gradients(
+            np.array([[1.0]] * 4 + [[0.0]] * 4), np.repeat([-0.25, 0.25], 4)
+        )
+        g = np.concatenate([a.ravel() for a in gw + gb])
+        overflowing = np.flatnonzero(~np.isfinite(g * g))
+        n = probe.num_params
+        assert n > _BLOCK and n % _BLOCK != 0
+        assert len(overflowing) == 1 and overflowing[0] >= n // _BLOCK * _BLOCK
+
+        model = make_model()
+        before = [p.copy() for p in model.weights + model.biases]
+        with pytest.raises(TrainingDiverged) as exc:
+            train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
+        assert exc.value.iteration == 0
+        assert "optimizer state" in str(exc.value)
+        for p, b in zip(model.weights + model.biases, before):
+            assert np.array_equal(p, b)
 
     def test_zero_margin_ordered_model_is_fixed_point(self):
         # identity-like model already orders the two points; margin 0 gives no gradient

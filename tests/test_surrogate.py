@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rankmbo.surrogate import (
     MlpSurrogate,
     TrainConfig,
+    _BLOCK,
     _Optimizer,
     init_surrogate,
     load_model,
@@ -182,6 +183,32 @@ class TestLossAndGrads:
         for a, b in zip(gw + gb, rw + rb):
             assert np.array_equal(a, b)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_out_views_filled_in_place(self, dim, hidden, n, seed):
+        rng = np.random.default_rng(seed)
+        m = init_surrogate(dim, hidden, seed=seed)
+        for b in m.biases:
+            b += rng.normal(size=b.shape)
+        X = rng.normal(scale=3.0, size=(n, dim))
+        up = rng.normal(size=n)
+
+        def loss_fn(scores):
+            return float(np.dot(up, scores)), up
+
+        views = _Optimizer(m, TrainConfig()).grads
+        _, ref = m.loss_and_grads(X, loss_fn)
+        _, got = m.loss_and_grads(X, loss_fn, out=views)
+        assert got is views
+        assert all(a is b for a, b in zip(got[0] + got[1], views[0] + views[1]))
+        for a, b in zip(got[0] + got[1], ref[0] + ref[1]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_nonfinite_loss_skips_backward(self):
         m = init_surrogate(2, 4, seed=0)
         # an upstream of the wrong length would raise if the backward pass ran
@@ -233,25 +260,61 @@ class _PerLayerOptimizer:
             )
 
 
+def assert_matches_per_layer_reference(hidden, optimizer, weight_decay, steps=40):
+    """Train with _Optimizer and the per-layer reference side by side; the
+    parameters must agree bit for bit and stay the arrays the model held."""
+    cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay, learning_rate=1e-2)
+    rng = np.random.default_rng(3)
+    model, ref = init_surrogate(3, hidden, seed=1), init_surrogate(3, hidden, seed=1)
+    held = model.weights + model.biases
+    opt, ref_opt = _Optimizer(model, cfg), _PerLayerOptimizer(ref, cfg)
+    for _ in range(steps):
+        X = rng.normal(size=(8, 3))
+        up = rng.normal(size=8)
+        opt.step(model, *model.param_gradients(X, up))
+        ref_opt.step(ref, *ref.param_gradients(X, up))
+    trained = ref.weights + ref.biases
+    assert not np.array_equal(trained[0], init_surrogate(3, hidden, seed=1).weights[0])
+    for a, b, h in zip(model.weights + model.biases, trained, held):
+        assert a is h
+        assert np.array_equal(h, b)
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_matches_per_layer_reference(self, optimizer, weight_decay):
-        cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay, learning_rate=1e-2)
-        rng = np.random.default_rng(3)
-        model, ref = init_surrogate(3, 6, seed=1), init_surrogate(3, 6, seed=1)
-        held = model.weights + model.biases
-        opt, ref_opt = _Optimizer(model, cfg), _PerLayerOptimizer(ref, cfg)
-        for _ in range(40):
-            X = rng.normal(size=(8, 3))
-            up = rng.normal(size=8)
-            opt.step(model, *model.param_gradients(X, up))
-            ref_opt.step(ref, *ref.param_gradients(X, up))
-        trained = ref.weights + ref.biases
-        assert not np.array_equal(trained[0], init_surrogate(3, 6, seed=1).weights[0])
-        for a, b, h in zip(model.weights + model.biases, trained, held):
-            assert a is h
-            assert np.array_equal(h, b)
+        assert_matches_per_layer_reference(6, optimizer, weight_decay)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_multi_block_matches_per_layer_reference(self, optimizer, weight_decay):
+        # 41201 parameters: one full block and a partial last one
+        n = init_surrogate(3, 200, seed=1).num_params
+        assert n > _BLOCK and n % _BLOCK != 0
+        assert_matches_per_layer_reference(200, optimizer, weight_decay, steps=10)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_moment_overflow_in_last_block_leaves_model_untouched(self):
+        model = init_surrogate(3, 200, seed=1)
+        opt = _Optimizer(model, TrainConfig())
+        gw, gb = model.param_gradients(np.ones((2, 3)), np.ones(2))
+        # b3 is the last flat entry, so its moment sits in the partial last block
+        gb[2][0] = 1e200
+        before = [p.copy() for p in model.weights + model.biases]
+        assert not opt.step(model, gw, gb)
+        assert not np.isfinite(opt.v[-1]) and np.isfinite(opt.v[:-1]).all()
+        for p, b in zip(model.weights + model.biases, before):
+            assert np.array_equal(p, b)
+
+    def test_foreign_gradients_are_not_written(self):
+        model = init_surrogate(2, 4, seed=0)
+        opt = _Optimizer(model, TrainConfig(weight_decay=0.05))
+        gw, gb = model.param_gradients(np.ones((3, 2)), np.ones(3))
+        fresh = [g.copy() for g in gw + gb]
+        opt.step(model, gw, gb)
+        for g, f in zip(gw + gb, fresh):
+            assert np.array_equal(g, f)
 
 
 class TestInputGradient:

@@ -19,18 +19,19 @@ for x in BRANIN_MAXIMIZERS:
 
 # Build the offline dataset: sample 5000 designs uniformly, keep the worst 60%.
 dataset = make_offline_dataset(task, pool_size=5000, keep_fraction=0.6, seed=0)
-print(f"\npool extrema: [{task.y_min_full:.3f}, {task.y_max_full:.3f}]")
+# The dataset records the true-score extrema of the pool it was kept from.
+print(f"\npool extrema: [{dataset.y_min_full:.3f}, {dataset.y_max_full:.3f}]")
 print(f"offline dataset: {len(dataset)} designs")
 print(f"  best retained score: {dataset.scores.max():.3f}")
 print(f"  worst retained score: {dataset.scores.min():.3f}")
 
 # Normalized scores place everything on the pool scale: 0 = pool worst,
 # 1 = pool best.  The dataset best lands well below 1 by construction.
-best_norm = normalized_score(float(dataset.scores.max()), task)
+best_norm = normalized_score(float(dataset.scores.max()), dataset)
 print(f"  normalized dataset best: {best_norm:.4f}")
 
 # The true optima live far above anything the training data contains.
-gap = task.y_max_full - dataset.scores.max()
+gap = dataset.y_max_full - dataset.scores.max()
 print(f"  score gap between pool best and dataset best: {gap:.3f}")
 
 # How far is the nearest retained design from each true maximizer?

@@ -39,17 +39,19 @@ class ExactBowl:
 
 
 center = np.array([1.5, -0.5])
-traj = ascend(
+# ascend runs every start at once: one trajectory of steps+1 iterates per row
+paths = ascend(
     ExactBowl(center),
-    x0=np.array([4.0, 4.0]),
+    X0=np.array([[4.0, 4.0], [-4.0, -3.0]]),
     lower=np.full(2, -5.0),
     upper=np.full(2, 5.0),
     config=SearchConfig(step_size=0.1, steps=60),
 )
 print("bowl ascent: each step contracts the distance to the maximizer by 0.8")
-for t in (0, 10, 30, 60):
-    d = np.linalg.norm(traj[t] - center)
-    print(f"  step {t:3d}: x = {np.round(traj[t], 4)}, distance {d:.5f}")
+for k, traj in enumerate(paths):
+    for t in (0, 10, 30, 60):
+        d = np.linalg.norm(traj[t] - center)
+        print(f"  start {k} step {t:3d}: x = {np.round(traj[t], 4)}, distance {d:.5f}")
 
 # Now the real pipeline: DAR surrogate on the worst-60% Branin dataset.
 task = branin_task()
@@ -63,9 +65,9 @@ part = partition(dataset, 0.2)
 result = propose_candidates(
     model, dataset, part, SearchConfig(step_size=0.05, steps=200, num_candidates=32, seed=2)
 )
-result = score_candidates(result, task)
+result = score_candidates(result, dataset)
 
-dataset_best = normalized_score(float(dataset.scores.max()), task)
+dataset_best = normalized_score(float(dataset.scores.max()), dataset)
 print(f"\nBranin search from the top of the visible data ({result.config.num_candidates} candidates):")
 print(f"  dataset best (normalized):  {dataset_best:.4f}")
 print(f"  search best (normalized):   {result.best_normalized:.4f}")

@@ -3,15 +3,25 @@
 A config file has four sections (task, train, search, diagnostics); every key
 is optional and falls back to the desk-scale default.  Per-stage seeds default
 to fixed offsets from the task seed so one base seed pins the whole pipeline.
+
+The train and search sections map onto the runtime configs of the stages that
+use them (``TrainConfig`` and its subclasses, ``SearchConfig``), which check
+their own values; ``validate`` builds them the way the harness does and
+reports their errors under the dotted config path.
 """
 
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .diagnostics import _check_radii
+from .objectives import OBJECTIVES, DarConfig
+from .search import SearchConfig
+from .surrogate import ValidationError
+from .tasks import _TASK_FACTORIES
 
 __all__ = [
     "ValidationError",
@@ -32,17 +42,6 @@ PROFILES = {
     "desk": {"train.hidden": 64, "search.num_candidates": 32},
     "paper": {"train.hidden": 2048, "search.num_candidates": 128},
 }
-
-OBJECTIVES = ("mse", "rank_global", "dar")
-
-
-class ValidationError(ValueError):
-    """A config field failed validation; carries the dotted field name."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"{field_name}: {message}")
-
 
 @dataclass
 class TaskBlock:
@@ -107,6 +106,21 @@ class ExperimentConfig:
             ),
         }
 
+    def train_config(self, config_cls):
+        """The runtime config ``config_cls`` built from the train section and
+        the resolved train seed; raises ValidationError on a bad value."""
+        return _runtime_config(self.train, config_cls, seed=self.resolved_seeds()["train"])
+
+    def search_config(self) -> SearchConfig:
+        """The runtime search config, without trajectories; raises
+        ValidationError on a bad value."""
+        return _runtime_config(
+            self.search,
+            SearchConfig,
+            seed=self.resolved_seeds()["search"],
+            keep_trajectories=False,
+        )
+
     def to_dict(self) -> dict:
         out = {}
         for section in ("task", "train", "search", "diagnostics"):
@@ -115,6 +129,12 @@ class ExperimentConfig:
                 f.name: _plain(getattr(block, f.name)) for f in fields(block)
             }
         return out
+
+
+def _runtime_config(block, config_cls, **overrides):
+    names = {f.name for f in fields(config_cls)}
+    values = {f.name: getattr(block, f.name) for f in fields(block) if f.name in names}
+    return config_cls(**{**values, **overrides})
 
 
 def _plain(v):
@@ -180,7 +200,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> None:
     t = cfg.task
-    if t.name not in ("branin", "quadratic_bowl"):
+    if t.name not in _TASK_FACTORIES:
         raise ValidationError("task.name", f"unknown task {t.name!r}")
     if t.pool_size < 2:
         raise ValidationError("task.pool_size", "must be at least 2")
@@ -193,35 +213,15 @@ def validate(cfg: ExperimentConfig) -> None:
 
     tr = cfg.train
     if tr.objective not in OBJECTIVES:
-        raise ValidationError("train.objective", f"must be one of {OBJECTIVES}")
+        raise ValidationError("train.objective", f"must be one of {tuple(OBJECTIVES)}")
     if tr.hidden < 1:
         raise ValidationError("train.hidden", "must be positive")
-    if tr.iterations < 1:
-        raise ValidationError("train.iterations", "must be at least 1")
-    if tr.batch_size < 1:
-        raise ValidationError("train.batch_size", "must be at least 1")
-    if tr.learning_rate < 0.0:
-        raise ValidationError("train.learning_rate", "must be non-negative")
-    if tr.optimizer not in ("sgd", "adam"):
-        raise ValidationError("train.optimizer", "must be sgd or adam")
-    if tr.weight_decay < 0.0:
-        raise ValidationError("train.weight_decay", "must be non-negative")
-    if tr.margin < 0.0:
-        raise ValidationError("train.margin", "must be non-negative")
-    if not 0.0 < tr.near_fraction < 1.0:
-        raise ValidationError("train.near_fraction", "must lie strictly in (0, 1)")
-    if not 0.0 <= tr.intra_ratio <= 1.0:
-        raise ValidationError("train.intra_ratio", "must lie in [0, 1]")
-
-    s = cfg.search
-    if s.step_size < 0.0:
-        raise ValidationError("search.step_size", "must be non-negative")
-    if s.steps < 0:
-        raise ValidationError("search.steps", "must be non-negative")
-    if s.num_candidates < 1:
-        raise ValidationError("search.num_candidates", "must be at least 1")
-    if s.init_rule not in ("topk", "random"):
-        raise ValidationError("search.init_rule", "must be topk or random")
+    # DarConfig is the widest train config; its near_fraction also splits the
+    # dataset for search, whatever the objective
+    with _section("train"):
+        cfg.train_config(DarConfig)
+    with _section("search"):
+        cfg.search_config()
 
     d = cfg.diagnostics
     if d.eval_pool_size < 2:
@@ -242,6 +242,15 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("diagnostics.mse_rank_audit_trials", "must be non-negative")
     if d.marginal_audit_trials < 0:
         raise ValidationError("diagnostics.marginal_audit_trials", "must be non-negative")
+
+
+@contextmanager
+def _section(name: str):
+    """Re-raise a runtime config's ValidationError under ``name.<key>``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{name}.{exc.field}", exc.message) from None
 
 
 def apply_profile(cfg: ExperimentConfig, profile: str | None) -> ExperimentConfig:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, reseed, set_by_path
+from .config import ExperimentConfig, reseed, set_by_path, validate
 from .diagnostics import (
     audit_marginal_decomposition,
     audit_mse_to_rank,
@@ -28,17 +28,9 @@ from .diagnostics import (
     save_bound_reports,
     save_radius_rows,
 )
-from .objectives import (
-    DarConfig,
-    RankConfig,
-    partition,
-    save_loss_trace,
-    train_dar,
-    train_mse,
-    train_rank_global,
-)
-from .search import SearchConfig, propose_candidates, save_search_result, score_candidates
-from .surrogate import TrainConfig, init_surrogate, save_model, zscore_adapt
+from .objectives import get_objective, partition, save_loss_trace
+from .search import propose_candidates, save_search_result, score_candidates
+from .surrogate import init_surrogate, save_model
 from .tasks import (
     dataset_sidecar,
     get_task,
@@ -83,53 +75,20 @@ def build_dataset(cfg: ExperimentConfig):
 
 
 def train_model(cfg: ExperimentConfig, dataset):
-    """Train the configured objective; every returned model carries adaptation
-    constants so it is directly usable by the search stage."""
-    tr = cfg.train
-    seed = cfg.resolved_seeds()["train"]
-    model = init_surrogate(dataset.task.dim, tr.hidden, seed, tr.weight_init_scale)
-    base = dict(
-        iterations=tr.iterations,
-        batch_size=tr.batch_size,
-        learning_rate=tr.learning_rate,
-        optimizer=tr.optimizer,
-        weight_decay=tr.weight_decay,
-        weight_init_scale=tr.weight_init_scale,
-        seed=seed,
+    """Train the configured objective; every trainer returns a model adapted
+    for the search stage."""
+    config_cls, trainer = get_objective(cfg.train.objective)
+    config = cfg.train_config(config_cls)
+    model = init_surrogate(
+        dataset.task.dim, cfg.train.hidden, config.seed, config.weight_init_scale
     )
-    if tr.objective == "mse":
-        model, trace = train_mse(model, dataset, TrainConfig(**base))
-        zscore_adapt(model, dataset)
-    elif tr.objective == "rank_global":
-        model, trace = train_rank_global(
-            model, dataset, RankConfig(margin=tr.margin, **base)
-        )
-    else:
-        model, trace = train_dar(
-            model,
-            dataset,
-            DarConfig(
-                margin=tr.margin,
-                near_fraction=tr.near_fraction,
-                intra_ratio=tr.intra_ratio,
-                **base,
-            ),
-        )
-    return model, trace
+    return trainer(model, dataset, config)
 
 
 def run_search(cfg: ExperimentConfig, model, dataset):
     part = partition(dataset, cfg.train.near_fraction)
-    search_cfg = SearchConfig(
-        step_size=cfg.search.step_size,
-        steps=cfg.search.steps,
-        num_candidates=cfg.search.num_candidates,
-        init_rule=cfg.search.init_rule,
-        seed=cfg.resolved_seeds()["search"],
-        keep_trajectories=False,
-    )
-    result = propose_candidates(model, dataset, part, search_cfg)
-    return score_candidates(result, dataset.task)
+    result = propose_candidates(model, dataset, part, cfg.search_config())
+    return score_candidates(result, dataset)
 
 
 def run_diagnostics(cfg: ExperimentConfig, model, dataset):
@@ -190,12 +149,17 @@ def run(
     profile: str | None = None,
     threads: int = 1,
 ) -> dict:
-    """Execute the full pipeline and write all artifacts; returns the manifest."""
+    """Execute the full pipeline and write all artifacts; returns the manifest.
+
+    The config is validated before anything is written, so a bad value raises
+    ValidationError naming its field and leaves no directory behind.
+    """
     started = time.perf_counter()
+    validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    task, dataset = build_dataset(cfg)
+    _, dataset = build_dataset(cfg)
     save_dataset(dataset, out / "dataset.csv")
 
     model, trace = train_model(cfg, dataset)
@@ -229,7 +193,7 @@ def run(
         "config": cfg.to_dict(),
         "seeds": cfg.resolved_seeds(),
         "dataset": dataset_sidecar(dataset),
-        "dataset_best_normalized": normalized_score(float(dataset.scores.max()), task),
+        "dataset_best_normalized": normalized_score(float(dataset.scores.max()), dataset),
         "search": {
             "best_true": result.best_true,
             "best_normalized": result.best_normalized,

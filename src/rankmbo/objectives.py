@@ -7,9 +7,10 @@ pairs are drawn.  The global trainer samples uniformly from all index pairs
 with a strict score gap.  DAR first splits the dataset at the top-quantile
 threshold into a near-optimal set and its complement, then mixes cross-region
 pairs (near vs. sub, the preferred element always near) with a small ratio of
-intra-region pairs drawn inside the near set.  Both ranking trainers finish
-with z-score output adaptation so their gradient scale during design search
-matches regression-trained surrogates.
+intra-region pairs drawn inside the near set.  Every trainer finishes with
+z-score output adaptation, so the three return models whose gradient scale
+during design search is comparable.  ``OBJECTIVES`` is the one table of
+objective names, their runtime config classes and their trainers.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .surrogate import MlpSurrogate, TrainConfig, _Optimizer, zscore_adapt
+from .surrogate import MlpSurrogate, TrainConfig, ValidationError, _Optimizer, zscore_adapt
 from .tasks import OfflineDataset
 
 __all__ = [
+    "OBJECTIVES",
+    "get_objective",
     "PartitionedDataset",
     "RankConfig",
     "DarConfig",
@@ -83,7 +86,7 @@ class RankConfig(TrainConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.margin < 0.0:
-            raise ValueError("margin must be non-negative")
+            raise ValidationError("margin", "must be non-negative")
 
 
 @dataclass
@@ -94,9 +97,9 @@ class DarConfig(RankConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 0.0 < self.near_fraction < 1.0:
-            raise ValueError("near_fraction must lie strictly between 0 and 1")
+            raise ValidationError("near_fraction", "must lie strictly in (0, 1)")
         if not 0.0 <= self.intra_ratio <= 1.0:
-            raise ValueError("intra_ratio must lie in [0, 1]")
+            raise ValidationError("intra_ratio", "must lie in [0, 1]")
 
 
 def partition_scores(scores: np.ndarray, near_fraction: float) -> PartitionedDataset:
@@ -285,7 +288,8 @@ def _descend(
 def train_mse(
     model: MlpSurrogate, dataset: OfflineDataset, config: TrainConfig
 ) -> tuple[MlpSurrogate, np.ndarray]:
-    """Minibatch descent on the mean squared error against observed scores.
+    """Minibatch descent on the mean squared error against observed scores,
+    followed by z-score output adaptation.
 
     Inputs are standardized per coordinate over the dataset before entering
     the network; the constants are stored on the model and applied at
@@ -305,6 +309,7 @@ def train_mse(
         return X[idx], loss_fn
 
     trace = _descend(model, dataset, config, next_batch)
+    zscore_adapt(model, dataset)
     model.objective = "mse"
     model.train_config = config.to_dict()
     return model, trace
@@ -365,6 +370,25 @@ def train_dar(
         return pref, other
 
     return _train_pairwise(model, dataset, config, draw, "dar")
+
+
+# Objective name -> (runtime config class, trainer name).  The trainer is
+# resolved by name when it is asked for, so a wrapper installed on this
+# module's attribute (a profiler, a test double) is the one that runs.
+OBJECTIVES = {
+    "mse": (TrainConfig, "train_mse"),
+    "rank_global": (RankConfig, "train_rank_global"),
+    "dar": (DarConfig, "train_dar"),
+}
+
+
+def get_objective(name: str):
+    """(config class, trainer) of a training objective; every trainer returns
+    a model adapted for search."""
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r} (known: {', '.join(OBJECTIVES)})")
+    config_cls, trainer = OBJECTIVES[name]
+    return config_cls, globals()[trainer]
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .surrogate import MlpSurrogate
-from .tasks import OfflineDataset, TaskSpec, normalized_score
+from .surrogate import MlpSurrogate, ValidationError
+from .tasks import OfflineDataset, normalized_score
 from .objectives import PartitionedDataset
 
 __all__ = [
@@ -46,13 +46,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.step_size < 0.0:
-            raise ValueError("step_size must be non-negative")
+            raise ValidationError("step_size", "must be non-negative")
         if self.steps < 0:
-            raise ValueError("steps must be non-negative")
+            raise ValidationError("steps", "must be non-negative")
         if self.num_candidates < 1:
-            raise ValueError("num_candidates must be at least 1")
+            raise ValidationError("num_candidates", "must be at least 1")
         if self.init_rule not in INIT_RULES:
-            raise ValueError(f"init_rule must be one of {INIT_RULES}")
+            raise ValidationError("init_rule", f"must be one of {INIT_RULES}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -109,15 +109,18 @@ def project_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.clip(x, lower, upper)
 
 
-def _ascend_batch(
+def ascend(
     objective, X0: np.ndarray, lower: np.ndarray, upper: np.ndarray, config: SearchConfig
 ) -> np.ndarray:
-    """Run all trajectories simultaneously; returns (k, steps+1, dim).
+    """Projected gradient ascent from each row of X0, all trajectories at once;
+    returns every iterate, shape (k, steps+1, dim).
 
-    The ascent step lives in the objective's standardized input space; mapped
+    The objective must expose ``gradient_batch`` plus ``x_mean``/``x_std``
+    describing its training-time input standardization (identity constants for
+    exact stand-ins).  The ascent step lives in that standardized space; mapped
     back to raw coordinates it becomes a step along x_std^2 * gradient, with
     the projection applied directly on the raw box so the bound satisfaction
-    is exact.
+    is exact.  The step size is fixed; no schedule.
     """
     X = np.atleast_2d(np.asarray(X0, dtype=float))
     x_std = np.asarray(objective.x_std, dtype=float)
@@ -131,23 +134,6 @@ def _ascend_batch(
         X = np.clip(X + step_scale * g, lower, upper)
         path[:, t + 1] = X
     return path
-
-
-def ascend(
-    objective,
-    x0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    config: SearchConfig,
-) -> np.ndarray:
-    """Projected gradient ascent from x0; returns all steps+1 iterates.
-
-    The objective must expose ``gradient_batch`` plus ``x_mean``/``x_std``
-    describing its training-time input standardization (identity constants for
-    exact stand-ins).  The step size is fixed; no schedule.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    return _ascend_batch(objective, x0[None, :], lower, upper, config)[0]
 
 
 def propose_candidates(
@@ -178,7 +164,7 @@ def propose_candidates(
     X0 = dataset.designs[chosen]
 
     objective = SurrogateObjective(model, adapted=True)
-    paths = _ascend_batch(objective, X0, dataset.task.lower, dataset.task.upper, config)
+    paths = ascend(objective, X0, dataset.task.lower, dataset.task.upper, config)
     candidates = paths[:, -1].copy()
     return SearchResult(
         init_designs=X0,
@@ -189,12 +175,11 @@ def propose_candidates(
     )
 
 
-def score_candidates(result: SearchResult, task: TaskSpec) -> SearchResult:
-    """Evaluate the true objective on each candidate and fill in the summary."""
-    result.true_scores = task.evaluate_batch(result.candidates)
-    result.normalized_scores = np.array(
-        [normalized_score(v, task) for v in result.true_scores]
-    )
+def score_candidates(result: SearchResult, dataset: OfflineDataset) -> SearchResult:
+    """Evaluate the true objective on each candidate and fill in the summary,
+    normalized on the pool scale of the dataset the search started from."""
+    result.true_scores = dataset.task.evaluate_batch(result.candidates)
+    result.normalized_scores = normalized_score(result.true_scores, dataset)
     best = int(np.argmax(result.true_scores))
     result.best_true = float(result.true_scores[best])
     result.best_normalized = float(result.normalized_scores[best])

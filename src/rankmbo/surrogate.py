@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "ValidationError",
     "TrainConfig",
     "MlpSurrogate",
     "init_surrogate",
@@ -40,6 +41,20 @@ __all__ = [
 ]
 
 ADAPT_STD_FLOOR = 1e-12
+
+
+class ValidationError(ValueError):
+    """A config field failed validation; carries the field name.
+
+    The runtime configs raise it with their own key (``iterations``);
+    ``config.validate`` re-raises it under the dotted config path
+    (``train.iterations``), which the CLI reports as the JSON ``field``.
+    """
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        self.message = message
+        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass
@@ -59,15 +74,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ValidationError("iterations", "must be at least 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ValidationError("batch_size", "must be at least 1")
         if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be non-negative")
+            raise ValidationError("learning_rate", "must be non-negative")
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValidationError("optimizer", "must be sgd or adam")
         if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+            raise ValidationError("weight_decay", "must be non-negative")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -158,12 +173,6 @@ class MlpSurrogate:
         out, _ = self._forward_cache(X)
         return out
 
-    def forward(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected input of shape ({self.dim},)")
-        return float(self.forward_batch(x[None, :])[0])
-
     def param_gradients(
         self, batch_inputs: np.ndarray, upstream_grads: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -225,12 +234,6 @@ class MlpSurrogate:
         gz = v1 @ self.weights[0]
         return gz / self.x_std
 
-    def input_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected input of shape ({self.dim},)")
-        return self.input_gradient_batch(x[None, :])[0]
-
     def min_preactivation_magnitude(self, x: np.ndarray) -> float:
         """Smallest |pre-activation| at x; small values flag kink-adjacent inputs."""
         x = np.asarray(x, dtype=float)
@@ -259,11 +262,6 @@ class MlpSurrogate:
         if not self.is_adapted:
             raise RuntimeError("output adaptation has not been performed")
         return (self.forward_batch(X) - self.adapt_mean) / self.adapt_std
-
-    def predict_adapted(self, x: np.ndarray) -> float:
-        if not self.is_adapted:
-            raise RuntimeError("output adaptation has not been performed")
-        return (self.forward(x) - self.adapt_mean) / self.adapt_std
 
     # -- persistence ----------------------------------------------------------
 

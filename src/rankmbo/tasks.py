@@ -47,22 +47,15 @@ BRANIN_MAX_VALUE = -0.397887
 class TaskSpec:
     """A continuous black-box objective with box bounds.
 
-    ``y_min_full`` and ``y_max_full`` are the true-score extrema over the most
-    recently generated pool; they stay ``None`` until a pool has been drawn and
-    are the reference scale for :func:`normalized_score`.
+    ``fn`` is batched: it maps an (n, dim) array of designs to n scores.
     """
 
     name: str
     dim: int
     lower: np.ndarray
     upper: np.ndarray
-    fn: Callable[[np.ndarray], float] = field(repr=False, compare=False)
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     maximize: bool = True
-    y_min_full: float | None = None
-    y_max_full: float | None = None
 
     def __post_init__(self) -> None:
         self.lower = np.asarray(self.lower, dtype=float)
@@ -74,26 +67,23 @@ class TaskSpec:
         if not np.all(self.lower < self.upper):
             raise ValueError("degenerate box: need lower[i] < upper[i] for all i")
 
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
-
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(X), dtype=float)
-        return np.array([self.fn(row) for row in X], dtype=float)
+        return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
 
     def contains(self, X: np.ndarray) -> bool:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return bool(np.all(X >= self.lower) and np.all(X <= self.upper))
 
-    def has_extrema(self) -> bool:
-        return self.y_min_full is not None and self.y_max_full is not None
-
 
 @dataclass
 class OfflineDataset:
-    """Fixed (design, score) pairs; the only information available to training."""
+    """Fixed (design, score) pairs; the only information available to training.
+
+    ``y_min_full`` and ``y_max_full`` are the true-score extrema over the whole
+    pool the dataset was kept from, the reference scale of
+    :func:`normalized_score`; they stay ``None`` for a dataset built from
+    bare arrays.
+    """
 
     designs: np.ndarray
     scores: np.ndarray
@@ -102,6 +92,8 @@ class OfflineDataset:
     pool_size: int
     keep_fraction: float
     noise_std: float = 0.0
+    y_min_full: float | None = None
+    y_max_full: float | None = None
 
     def __post_init__(self) -> None:
         self.designs = np.asarray(self.designs, dtype=float)
@@ -160,8 +152,7 @@ def branin_task() -> TaskSpec:
         dim=2,
         lower=np.array([-5.0, 0.0]),
         upper=np.array([10.0, 15.0]),
-        fn=eval_branin,
-        batch_fn=_branin_batch,
+        fn=_branin_batch,
     )
 
 
@@ -176,8 +167,7 @@ def quadratic_bowl_task(
         dim=dim,
         lower=center - halfwidth,
         upper=center + halfwidth,
-        fn=lambda x: eval_quadratic_bowl(x, center),
-        batch_fn=lambda X: -np.sum((X - center) ** 2, axis=1),
+        fn=lambda X: -np.sum((X - center) ** 2, axis=1),
     )
 
 
@@ -203,7 +193,7 @@ def make_offline_dataset(
 ) -> OfflineDataset:
     """Draw a uniform pool, keep the worst fraction of it as the offline dataset.
 
-    Records the true-score extrema of the full pool on ``task`` for later
+    Records the true-score extrema of the full pool on the dataset for later
     normalization.  Deterministic for a fixed seed; ties in the keep selection
     are broken by original pool index via a stable sort.
     """
@@ -222,8 +212,6 @@ def make_offline_dataset(
     rng = np.random.default_rng(seed)
     pool = rng.uniform(task.lower, task.upper, size=(pool_size, task.dim))
     y_true = task.evaluate_batch(pool)
-    task.y_min_full = float(y_true.min())
-    task.y_max_full = float(y_true.max())
 
     observed = y_true
     if noise_std > 0.0:
@@ -239,21 +227,25 @@ def make_offline_dataset(
         pool_size=pool_size,
         keep_fraction=keep_fraction,
         noise_std=noise_std,
+        y_min_full=float(y_true.min()),
+        y_max_full=float(y_true.max()),
     )
 
 
-def normalized_score(y: float, task: TaskSpec) -> float:
-    """Map a true score onto the pool scale: (y - y_min) / (y_max - y_min).
+def normalized_score(y, dataset: OfflineDataset):
+    """Map true scores onto the dataset's pool scale: (y - y_min) / (y_max - y_min).
 
-    May exceed [0, 1] when a searched design beats the pool optimum; that is
-    permitted and reported as-is.
+    ``y`` is a score or an array of them.  Results may exceed [0, 1] when a
+    searched design beats the pool optimum; that is permitted and reported
+    as-is.
     """
-    if not task.has_extrema():
-        raise ValueError("task has no recorded pool extrema; generate a pool first")
-    span = task.y_max_full - task.y_min_full
+    lo, hi = dataset.y_min_full, dataset.y_max_full
+    if lo is None or hi is None:
+        raise ValueError("dataset has no recorded pool extrema; draw it from a pool")
+    span = hi - lo
     if span == 0.0:
         raise ValueError("pool extrema coincide; normalization undefined")
-    return (y - task.y_min_full) / span
+    return (y - lo) / span
 
 
 def _fmt(v: float) -> str:
@@ -284,8 +276,8 @@ def dataset_sidecar(dataset: OfflineDataset) -> dict:
         "pool_size": dataset.pool_size,
         "keep_fraction": dataset.keep_fraction,
         "noise_std": dataset.noise_std,
-        "y_min_full": dataset.task.y_min_full,
-        "y_max_full": dataset.task.y_max_full,
+        "y_min_full": dataset.y_min_full,
+        "y_max_full": dataset.y_max_full,
     }
 
 
@@ -293,16 +285,15 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> OfflineDatas
     """Rebuild a dataset from its CSV and sidecar (task looked up by name)."""
     with open(sidecar_path) as fh:
         meta = json.load(fh)
-    task = get_task(meta["task"])
-    task.y_min_full = meta["y_min_full"]
-    task.y_max_full = meta["y_max_full"]
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     return OfflineDataset(
         designs=data[:, :-1],
         scores=data[:, -1],
-        task=task,
+        task=get_task(meta["task"]),
         seed=meta["seed"],
         pool_size=meta["pool_size"],
         keep_fraction=meta["keep_fraction"],
         noise_std=meta.get("noise_std", 0.0),
+        y_min_full=meta["y_min_full"],
+        y_max_full=meta["y_max_full"],
     )

@@ -91,14 +91,15 @@ def test_criterion_01_gradient_correctness():
         fd = _fd_param_grads(model, X, upstream, step)
         for a, b in zip(analytic[0] + analytic[1], fd):
             worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
-        x = X[0]
+        x = X[:1]  # one design per call, so each score is a one-row batch
         fd_in = np.array(
             [
-                (model.forward(x + step * e) - model.forward(x - step * e)) / (2 * step)
+                (model.forward_batch(x + step * e)[0] - model.forward_batch(x - step * e)[0])
+                / (2 * step)
                 for e in np.eye(dim)
             ]
         )
-        a_in = model.input_gradient(x)
+        a_in = model.input_gradient_batch(x)[0]
         worst = max(worst, float(np.max(np.abs(a_in - fd_in) / np.maximum(1.0, np.abs(fd_in)))))
         checked += 1
     elapsed = time.perf_counter() - start
@@ -289,7 +290,7 @@ def protocol():
                 overall=overall,
                 radius_errors=radius_errors,
                 dar_best_normalized=dar_best,
-                dataset_best_normalized=normalized_score(float(dataset.scores.max()), task),
+                dataset_best_normalized=normalized_score(float(dataset.scores.max()), dataset),
                 radii=cfg.diagnostics.radii,
             )
         )

@@ -42,6 +42,49 @@ radii = 0.5, 1.0, 3.0
 w1_sample_size = 8
 """
 
+# one bad value per validated key, as ``section.key`` and the raw config text;
+# the dotted field names are part of the CLI contract
+BAD_VALUES = [
+    ("task.name", "nope"),
+    ("task.pool_size", "1"),
+    ("task.pool_size", "many"),
+    ("task.keep_fraction", "0.0"),
+    ("task.keep_fraction", "1.5"),
+    ("task.keep_fraction", "0.0001"),
+    ("task.noise_std", "-1.0"),
+    ("train.objective", "foo"),
+    ("train.hidden", "0"),
+    ("train.iterations", "0"),
+    ("train.iterations", "abc"),
+    ("train.batch_size", "0"),
+    ("train.learning_rate", "-0.1"),
+    ("train.optimizer", "rmsprop"),
+    ("train.weight_decay", "-0.1"),
+    ("train.margin", "-0.1"),
+    ("train.near_fraction", "0.0"),
+    ("train.near_fraction", "1.0"),
+    ("train.intra_ratio", "-0.1"),
+    ("train.intra_ratio", "1.5"),
+    ("search.step_size", "-0.1"),
+    ("search.steps", "-1"),
+    ("search.num_candidates", "0"),
+    ("search.init_rule", "best"),
+    ("diagnostics.eval_pool_size", "1"),
+    ("diagnostics.eval_near_fraction", "0.0"),
+    ("diagnostics.radii", "2.0, 1.0"),
+    ("diagnostics.w1_sample_size", "0"),
+    ("diagnostics.mse_rank_audit_trials", "-1"),
+    ("diagnostics.marginal_audit_trials", "-1"),
+]
+
+# one bad key per section for the CLI, as (field, line in FAST_CFG, replacement)
+CLI_BAD_LINES = [
+    ("task.name", "name = quadratic_bowl", "name = nope"),
+    ("train.objective", "objective = dar", "objective = foo"),
+    ("search.num_candidates", "num_candidates = 4", "num_candidates = 0"),
+    ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 0"),
+]
+
 
 class TestConfig:
     def test_defaults_parse(self):
@@ -65,9 +108,24 @@ class TestConfig:
         }
 
     def test_explicit_seed_wins(self):
-        cfg = parse_config(FAST_CFG + "\n[train]\nseed = 99\n" if False else FAST_CFG)
-        cfg.train.seed = 99
-        assert cfg.resolved_seeds()["train"] == 99
+        text = FAST_CFG.replace("[train]\n", "[train]\nseed = 99\n").replace(
+            "[search]\n", "[search]\nseed = 7\n"
+        )
+        cfg = parse_config(text)
+        assert cfg.train.seed == 99 and cfg.search.seed == 7
+        assert cfg.resolved_seeds() == {
+            "task": 0, "train": 99, "search": 7, "diagnostics": 3,
+        }
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config("[search]\nseed = 1.5\n")
+        assert excinfo.value.field == "search.seed"
+
+    @pytest.mark.parametrize("field, value", BAD_VALUES)
+    def test_bad_value_names_field(self, field, value):
+        section, key = field.split(".")
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert excinfo.value.field == field
 
     def test_invalid_near_fraction_names_field(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -152,6 +210,15 @@ class TestRun:
                 continue  # differs in wall clock only
             assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
 
+    def test_unknown_objective_rejected_before_writing(self, tmp_path):
+        cfg = parse_config(FAST_CFG)
+        cfg.train.objective = "foo"
+        out = tmp_path / "run"
+        with pytest.raises(ValidationError) as excinfo:
+            run(cfg, out)
+        assert excinfo.value.field == "train.objective"
+        assert not out.exists()
+
     def test_audit_artifacts_appear_when_enabled(self, tmp_path):
         cfg = parse_config(FAST_CFG)
         cfg.diagnostics.mse_rank_audit_trials = 3
@@ -193,7 +260,8 @@ class TestSweep:
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path):
         cfg = parse_config(FAST_CFG)
-        # near_fraction so small the near set cannot form intra pairs
+        # a pool of 3 at keep_fraction 0.6 keeps 1 design, fewer than the 2 a
+        # dataset needs
         rows = sweep(
             cfg,
             {"train.intra_ratio": [0.1], "task.pool_size": [3]},
@@ -202,6 +270,20 @@ class TestSweep:
         )
         assert rows[0]["n_failed"] == 1
         assert rows[0]["mean_best_normalized"] is None
+
+
+    def test_bad_grid_value_fails_its_cell_without_artifacts(self, tmp_path):
+        cfg = parse_config(FAST_CFG)
+        rows = sweep(
+            cfg, {"train.objective": ["foo", "mse"]}, seeds=[0], out_dir=tmp_path / "sw"
+        )
+        assert [row["n_failed"] for row in rows] == [1, 0]
+        assert rows[0]["mean_best_normalized"] is None
+        assert not (tmp_path / "sw" / "cell_000").exists()
+        manifest = json.loads(
+            (tmp_path / "sw" / "cell_001" / "seed_0" / "manifest.json").read_text()
+        )
+        assert manifest["objective"] == "mse"
 
 
 class TestCompare:
@@ -258,6 +340,19 @@ class TestCli:
         assert not out.exists()
         err = json.loads(proc.stderr.strip().splitlines()[-1])
         assert err["field"] == "diagnostics.eval_near_fraction"
+
+    @pytest.mark.parametrize("field, line, bad", CLI_BAD_LINES)
+    def test_bad_value_exit_one_names_field(self, tmp_path, field, line, bad):
+        assert line in FAST_CFG
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG.replace(line, bad))
+        out = tmp_path / "out"
+        proc = self._cli("run", "--config", str(cfg_file), "--out", str(out))
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["field"] == field
+        assert err["stage"] == "run"
 
     def test_bad_radii_exit_one_names_field(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

@@ -47,11 +47,10 @@ def make_dataset(m=40, seed=0):
     rng = np.random.default_rng(seed)
     designs = rng.uniform(task.lower, task.upper, size=(m, 2))
     scores = task.evaluate_batch(designs)
-    task.y_min_full = float(scores.min())
-    task.y_max_full = float(scores.max())
     return OfflineDataset(
         designs=designs, scores=scores, task=task, seed=seed,
         pool_size=m, keep_fraction=1.0,
+        y_min_full=float(scores.min()), y_max_full=float(scores.max()),
     )
 
 
@@ -85,25 +84,39 @@ class TestProjectBox:
             project_box(np.zeros(2), np.zeros(3), np.ones(3))
 
 
+def ascend_one(objective, x0, lower, upper, config):
+    """Trajectory of a single start, shape (steps+1, dim)."""
+    return ascend(objective, np.asarray(x0, dtype=float)[None, :], lower, upper, config)[0]
+
+
 class TestAscend:
     def test_zero_steps_returns_start(self):
         obj = ExactBowl([0.0, 0.0])
         x0 = np.array([1.0, 2.0])
-        traj = ascend(obj, x0, np.full(2, -5.0), np.full(2, 5.0), SearchConfig(steps=0))
+        traj = ascend_one(obj, x0, np.full(2, -5.0), np.full(2, 5.0), SearchConfig(steps=0))
         assert traj.shape == (1, 2)
         assert np.array_equal(traj[0], x0)
 
     def test_zero_gradient_stays_put(self):
         obj = ZeroGradient(2)
         x0 = np.array([1.0, -1.0])
-        traj = ascend(obj, x0, np.full(2, -5.0), np.full(2, 5.0), SearchConfig(steps=20))
+        traj = ascend_one(obj, x0, np.full(2, -5.0), np.full(2, 5.0), SearchConfig(steps=20))
         assert np.all(traj == x0)
+
+    def test_batch_shape_and_rows_independent(self):
+        obj = ExactBowl([1.0, -2.0])
+        X0 = np.array([[4.0, 3.0], [-4.0, 0.5], [0.0, 0.0]])
+        cfg = SearchConfig(step_size=0.1, steps=15)
+        paths = ascend(obj, X0, np.full(2, -5.0), np.full(2, 5.0), cfg)
+        assert paths.shape == (3, 16, 2)
+        for x0, path in zip(X0, paths):
+            assert np.array_equal(ascend_one(obj, x0, np.full(2, -5.0), np.full(2, 5.0), cfg), path)
 
     def test_converges_to_bowl_center(self):
         # contraction per step is (1 - 2 * 0.1); 500 steps land within 1e-3
         center = np.array([1.0, -2.0])
         obj = ExactBowl(center)
-        traj = ascend(
+        traj = ascend_one(
             obj,
             np.array([4.0, 3.0]),
             np.full(2, -5.0),
@@ -114,7 +127,7 @@ class TestAscend:
 
     def test_iterates_respect_box(self):
         obj = ExactBowl([10.0, 10.0])  # center outside the box pulls to the corner
-        traj = ascend(
+        traj = ascend_one(
             obj,
             np.zeros(2),
             np.full(2, -1.0),
@@ -130,7 +143,7 @@ class TestAscend:
                 return np.full_like(np.atleast_2d(X), np.nan)
 
         with pytest.raises(FloatingPointError, match="step 0"):
-            ascend(Bad(2), np.zeros(2), np.full(2, -1.0), np.full(2, 1.0), SearchConfig(steps=3))
+            ascend(Bad(2), np.zeros((1, 2)), np.full(2, -1.0), np.full(2, 1.0), SearchConfig(steps=3))
 
     def test_adapted_and_raw_trajectories_match_with_scaled_step(self):
         ds = make_dataset()
@@ -140,14 +153,14 @@ class TestAscend:
             DarConfig(iterations=200, batch_size=16, learning_rate=1e-3, seed=2),
         )
         sigma = model.adapt_std
-        x0 = ds.designs[0]
+        X0 = ds.designs[:1]
         lo, hi = ds.task.lower, ds.task.upper
         t_adapted = ascend(
-            SurrogateObjective(model, adapted=True), x0, lo, hi,
+            SurrogateObjective(model, adapted=True), X0, lo, hi,
             SearchConfig(step_size=0.05, steps=40),
         )
         t_raw = ascend(
-            SurrogateObjective(model, adapted=False), x0, lo, hi,
+            SurrogateObjective(model, adapted=False), X0, lo, hi,
             SearchConfig(step_size=0.05 / sigma, steps=40),
         )
         assert np.allclose(t_adapted, t_raw, atol=1e-9)
@@ -194,8 +207,8 @@ class TestProposeAndScore:
         model = self._trained(ds)
         part = partition(ds, 0.2)
         cfg = SearchConfig(step_size=0.0, steps=50, num_candidates=5, seed=2)
-        result = score_candidates(propose_candidates(model, ds, part, cfg), ds.task)
-        init_best = max(ds.task.evaluate(x) for x in result.init_designs)
+        result = score_candidates(propose_candidates(model, ds, part, cfg), ds)
+        init_best = ds.task.evaluate_batch(result.init_designs).max()
         assert result.best_true == pytest.approx(init_best, abs=0)
 
     def test_deterministic_including_padding(self):
@@ -214,7 +227,7 @@ class TestProposeAndScore:
         result = propose_candidates(
             model, ds, part, SearchConfig(steps=10, num_candidates=4, seed=0)
         )
-        result = score_candidates(result, ds.task)
+        result = score_candidates(result, ds)
         assert result.best_true == result.true_scores.max()
         assert result.best_normalized is not None
         assert len(result.normalized_scores) == 4
@@ -226,7 +239,7 @@ class TestProposeAndScore:
         cfg = SearchConfig(steps=0, num_candidates=3, init_rule="random", seed=123)
         result = propose_candidates(model, ds, part, cfg)
         result.candidates = np.tile(result.candidates[:1], (3, 1))
-        result = score_candidates(result, ds.task)
+        result = score_candidates(result, ds)
         assert np.all(result.true_scores == result.best_true)
 
     def test_csv_and_json_output(self, tmp_path):
@@ -235,7 +248,7 @@ class TestProposeAndScore:
         part = partition(ds, 0.2)
         result = score_candidates(
             propose_candidates(model, ds, part, SearchConfig(steps=2, num_candidates=3, seed=0)),
-            ds.task,
+            ds,
         )
         save_search_result(result, tmp_path / "s.csv", tmp_path / "s.json")
         lines = (tmp_path / "s.csv").read_text().splitlines()

@@ -41,12 +41,21 @@ def finite_difference_param_grads(model, X, upstream, step=1e-5):
     return grads_w, grads_b
 
 
+def score(model, x):
+    """Network output at one design, through the batch API."""
+    return float(model.forward_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def input_grad(model, x):
+    return model.input_gradient_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+
 def finite_difference_input_grad(model, x, step=1e-5):
     g = np.zeros_like(x)
     for k in range(len(x)):
         e = np.zeros_like(x)
         e[k] = step
-        g[k] = (model.forward(x + e) - model.forward(x - e)) / (2.0 * step)
+        g[k] = (score(model, x + e) - score(model, x - e)) / (2.0 * step)
     return g
 
 
@@ -96,19 +105,19 @@ class TestForward:
     def test_zero_model_outputs_zero(self):
         m = init_surrogate(3, 4, seed=0)
         m.weights = [np.zeros_like(w) for w in m.weights]
-        assert m.forward(np.array([1.0, -2.0, 3.0])) == 0.0
+        assert score(m, [1.0, -2.0, 3.0]) == 0.0
 
     def test_positive_passthrough(self):
-        assert make_linear_chain().forward(np.array([2.0])) == 2.0
+        assert score(make_linear_chain(), [2.0]) == 2.0
 
     def test_relu_kills_negative(self):
-        assert make_linear_chain().forward(np.array([-2.0])) == 0.0
+        assert score(make_linear_chain(), [-2.0]) == 0.0
 
     def test_batch_matches_single(self):
         m = init_surrogate(2, 8, seed=3)
         X = np.random.default_rng(0).normal(size=(10, 2))
         batch = m.forward_batch(X)
-        singles = np.array([m.forward(x) for x in X])
+        singles = np.array([score(m, x) for x in X])
         assert np.allclose(batch, singles, rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -116,7 +125,7 @@ class TestForward:
         m = make_linear_chain()
         m.weights[1][0, 0] = 1e308
         with pytest.raises(FloatingPointError, match="layer 2"):
-            m.forward(np.array([1e5]))
+            m.forward_batch(np.array([[1e5]]))
 
 
 class TestParamGradients:
@@ -321,11 +330,11 @@ class TestInputGradient:
     def test_zero_model(self):
         m = init_surrogate(4, 4, seed=0)
         m.weights = [np.zeros_like(w) for w in m.weights]
-        assert np.array_equal(m.input_gradient(np.ones(4)), np.zeros(4))
+        assert np.array_equal(input_grad(m, np.ones(4)), np.zeros(4))
 
     def test_linear_region_chain_rule(self):
         m = make_linear_chain(weight=3.0)
-        assert m.input_gradient(np.array([5.0])) == pytest.approx(3.0)
+        assert input_grad(m, [5.0]) == pytest.approx(3.0)
 
     def test_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(21)
@@ -336,14 +345,14 @@ class TestInputGradient:
             if m.min_preactivation_magnitude(x) < 1e-6:
                 continue
             fd = finite_difference_input_grad(m, x)
-            assert max_rel_err(m.input_gradient(x), fd) < 1e-4
+            assert max_rel_err(input_grad(m, x), fd) < 1e-4
             checked += 1
         assert checked >= 25
 
     def test_relu_subgradient_zero_at_kink(self):
         # bias places the first pre-activation exactly at 0
         m = make_linear_chain()
-        assert m.input_gradient(np.array([0.0])) == pytest.approx(0.0)
+        assert input_grad(m, [0.0]) == pytest.approx(0.0)
 
 
 class TestAdaptation:
@@ -353,15 +362,14 @@ class TestAdaptation:
         m.adapt_output(np.random.default_rng(0).normal(size=(10, 2)))
         assert m.adapt_degenerate
         assert m.adapt_std == 1.0
-        assert m.predict_adapted(np.zeros(2)) == 0.0
+        assert m.predict_adapted_batch(np.zeros((1, 2)))[0] == 0.0
 
     def test_two_point_zscore(self):
         m = make_linear_chain()
         m.adapt_output(np.array([[1.0], [3.0]]))
         assert m.adapt_mean == pytest.approx(2.0)
         assert m.adapt_std == pytest.approx(1.0)
-        assert m.predict_adapted(np.array([1.0])) == pytest.approx(-1.0)
-        assert m.predict_adapted(np.array([3.0])) == pytest.approx(1.0)
+        assert m.predict_adapted_batch(np.array([[1.0], [3.0]])) == pytest.approx([-1.0, 1.0])
 
     def test_adapted_predictions_have_zero_mean_unit_std(self):
         rng = np.random.default_rng(5)
@@ -375,7 +383,7 @@ class TestAdaptation:
     def test_unadapted_predict_raises(self):
         m = init_surrogate(2, 4, seed=0)
         with pytest.raises(RuntimeError):
-            m.predict_adapted(np.zeros(2))
+            m.predict_adapted_batch(np.zeros((1, 2)))
 
     def test_argmax_and_full_ranking_preserved(self):
         rng = np.random.default_rng(11)

@@ -39,6 +39,11 @@ class TestBranin:
         with pytest.raises(ValueError):
             eval_branin(np.array([1.0, 2.0, 3.0]))
 
+    def test_batch_matches_scalar_evaluator(self):
+        task = branin_task()
+        X = np.random.default_rng(3).uniform(task.lower, task.upper, size=(50, 2))
+        assert np.array_equal(task.evaluate_batch(X), [eval_branin(x) for x in X])
+
     def test_grid_maximum_near_known_maximizers(self):
         # independent dense-grid oracle over the feasible box
         task = branin_task()
@@ -75,6 +80,14 @@ class TestQuadraticBowl:
         with pytest.raises(ValueError):
             eval_quadratic_bowl(np.array([1.0]), np.zeros(2))
 
+    def test_batch_matches_scalar_evaluator(self):
+        c = np.array([1.0, -2.0, 0.5])
+        task = quadratic_bowl_task(dim=3, center=c)
+        X = np.random.default_rng(4).uniform(task.lower, task.upper, size=(50, 3))
+        assert np.array_equal(
+            task.evaluate_batch(X), [eval_quadratic_bowl(x, c) for x in X]
+        )
+
 
 class TestMakeOfflineDataset:
     def test_keeps_bottom_fraction(self):
@@ -88,8 +101,8 @@ class TestMakeOfflineDataset:
         task = quadratic_bowl_task(dim=2)
         ds = make_offline_dataset(task, pool_size=50, keep_fraction=1.0, seed=3)
         assert len(ds) == 50
-        assert ds.scores.max() == task.y_max_full
-        assert ds.scores.min() == task.y_min_full
+        assert ds.scores.max() == ds.y_max_full
+        assert ds.scores.min() == ds.y_min_full
 
     def test_worst_fraction_matches_independent_sort(self):
         # oracle: regenerate the pool and sort it independently
@@ -101,8 +114,8 @@ class TestMakeOfflineDataset:
         keep = int(0.6 * 5000)
         boundary = np.sort(scores)[keep]
         assert ds.scores.max() < boundary
-        assert ds.scores.min() == task.y_min_full == scores.min()
-        assert task.y_max_full == scores.max()
+        assert ds.scores.min() == ds.y_min_full == scores.min()
+        assert ds.y_max_full == scores.max()
         expected = pool[np.argsort(scores, kind="stable")[:keep]]
         assert np.array_equal(np.sort(ds.scores), np.sort(scores)[:keep])
         assert np.array_equal(ds.designs, expected)
@@ -133,22 +146,31 @@ class TestMakeOfflineDataset:
             make_offline_dataset(branin_task(), pool_size, keep_fraction, seed=0)
 
 
+def with_extrema(y_min, y_max):
+    """A two-point dataset carrying the given pool extrema."""
+    return OfflineDataset(
+        designs=[[0.0], [1.0]], scores=[0.0, 1.0], task=quadratic_bowl_task(dim=1),
+        seed=0, pool_size=2, keep_fraction=1.0, y_min_full=y_min, y_max_full=y_max,
+    )
+
+
 class TestNormalizedScore:
     def test_endpoints(self):
-        task = quadratic_bowl_task(dim=1)
-        task.y_min_full, task.y_max_full = -4.0, 0.0
-        assert normalized_score(-4.0, task) == 0.0
-        assert normalized_score(0.0, task) == 1.0
+        ds = with_extrema(-4.0, 0.0)
+        assert normalized_score(-4.0, ds) == 0.0
+        assert normalized_score(0.0, ds) == 1.0
 
     def test_linear_interpolation(self):
-        task = quadratic_bowl_task(dim=1)
-        task.y_min_full, task.y_max_full = 0.0, 10.0
-        assert normalized_score(4.0, task) == pytest.approx(0.4)
+        assert normalized_score(4.0, with_extrema(0.0, 10.0)) == pytest.approx(0.4)
 
     def test_can_exceed_unit_interval(self):
-        task = quadratic_bowl_task(dim=1)
-        task.y_min_full, task.y_max_full = 0.0, 1.0
-        assert normalized_score(2.0, task) == pytest.approx(2.0)
+        assert normalized_score(2.0, with_extrema(0.0, 1.0)) == pytest.approx(2.0)
+
+    def test_array_matches_scalars(self):
+        ds = with_extrema(-3.0, 7.0)
+        y = np.random.default_rng(2).normal(size=20)
+        expected = [normalized_score(float(v), ds) for v in y]
+        assert np.array_equal(normalized_score(y, ds), expected)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(0)
@@ -156,23 +178,29 @@ class TestNormalizedScore:
             lo, span = rng.normal(), abs(rng.normal()) + 0.1
             y = lo + span * rng.random()
             a, b = abs(rng.normal()) + 0.1, rng.normal()
-            t1 = quadratic_bowl_task(dim=1)
-            t1.y_min_full, t1.y_max_full = lo, lo + span
-            t2 = quadratic_bowl_task(dim=1)
-            t2.y_min_full, t2.y_max_full = a * lo + b, a * (lo + span) + b
-            assert normalized_score(a * y + b, t2) == pytest.approx(
-                normalized_score(y, t1), abs=1e-9
+            d1 = with_extrema(lo, lo + span)
+            d2 = with_extrema(a * lo + b, a * (lo + span) + b)
+            assert normalized_score(a * y + b, d2) == pytest.approx(
+                normalized_score(y, d1), abs=1e-9
             )
 
     def test_degenerate_extrema_rejected(self):
-        task = quadratic_bowl_task(dim=1)
-        task.y_min_full = task.y_max_full = 1.0
         with pytest.raises(ValueError):
-            normalized_score(1.0, task)
+            normalized_score(1.0, with_extrema(1.0, 1.0))
 
     def test_missing_extrema_rejected(self):
         with pytest.raises(ValueError):
-            normalized_score(0.5, quadratic_bowl_task(dim=1))
+            normalized_score(0.5, with_extrema(None, None))
+
+    def test_later_pool_leaves_earlier_dataset_unchanged(self):
+        # the extrema belong to the dataset that drew them, not to the shared task
+        task = branin_task()
+        first = make_offline_dataset(task, pool_size=50, keep_fraction=0.6, seed=0)
+        best = float(first.scores.max())
+        before = normalized_score(best, first)
+        second = make_offline_dataset(task, pool_size=50, keep_fraction=0.6, seed=1)
+        assert normalized_score(best, first) == before
+        assert (first.y_min_full, first.y_max_full) != (second.y_min_full, second.y_max_full)
 
 
 class TestDatasetValidationAndIO:
@@ -199,8 +227,8 @@ class TestDatasetValidationAndIO:
         loaded = load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         assert np.array_equal(loaded.designs, ds.designs)
         assert np.array_equal(loaded.scores, ds.scores)
-        assert loaded.task.y_min_full == task.y_min_full
-        assert loaded.task.y_max_full == task.y_max_full
+        assert loaded.y_min_full == ds.y_min_full
+        assert loaded.y_max_full == ds.y_max_full
         assert loaded.seed == ds.seed
 
     def test_csv_header(self, tmp_path):

@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
+from .artifacts import atomic_open
 from .config import ValidationError, apply_profile, load_config, reseed
-from .harness import compare, run, save_compare_rows, sweep
+from .harness import compare, error_record, run, save_compare_rows, sweep
 from .objectives import save_loss_trace
 from .search import save_search_result
 from .surrogate import load_model, save_model
@@ -68,10 +69,7 @@ def _load(args):
 
 
 def _error_json(exc: Exception, stage: str) -> str:
-    payload = {"error": type(exc).__name__, "message": str(exc), "stage": stage}
-    if isinstance(exc, ValidationError):
-        payload["field"] = exc.field
-    return json.dumps(payload)
+    return json.dumps(error_record(exc, stage))
 
 
 def _cmd_gen_data(args) -> int:
@@ -183,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_json(exc, args.command), file=sys.stderr)
         out = getattr(args, "out", None)
         if out is not None and Path(out).is_dir():
-            with open(Path(out) / "error.json", "w") as fh:
+            with atomic_open(Path(out) / "error.json") as fh:
                 fh.write(_error_json(exc, args.command) + "\n")
         return EXIT_RUNTIME
 

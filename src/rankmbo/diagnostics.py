@@ -20,7 +20,6 @@ transport costs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .artifacts import atomic_open, write_json
 from .objectives import partition_scores
 from .tasks import OfflineDataset, TaskSpec
 
@@ -399,7 +399,7 @@ def audit_marginal_decomposition(
 
 
 def save_radius_rows(rows: list[RadiusRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["d", "n_restricted", "rank_error"])
         for row in rows:
@@ -408,7 +408,7 @@ def save_radius_rows(rows: list[RadiusRow], path: str | Path) -> None:
 
 
 def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "lhs", "rhs", "holds"])
         for trial, rep in enumerate(reports):
@@ -438,6 +438,4 @@ def save_report_summary(report: RankingErrorReport, path: str | Path) -> None:
             for r in report.rows
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(path, summary)

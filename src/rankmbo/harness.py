@@ -4,22 +4,28 @@
 artifacts (dataset.csv, model.json, loss_trace.csv, search.csv, search.json,
 diagnostics.csv, manifest.json) plus one audit CSV per enabled audit.  Given
 the same config the numeric artifacts are byte-identical across runs; only the
-manifest differs (wall clock).
+manifest differs (its timings and peak memory).  Every artifact is written
+atomically (``artifacts.atomic_open``).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import resource
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, reseed, set_by_path, validate
+from .artifacts import atomic_open, write_json
+from .config import ExperimentConfig, ValidationError, reseed, set_by_path, validate
 from .diagnostics import (
     audit_marginal_decomposition,
     audit_mse_to_rank,
@@ -49,6 +55,7 @@ __all__ = [
     "sweep",
     "compare",
     "save_compare_rows",
+    "error_record",
 ]
 
 RUN_ARTIFACTS = (
@@ -59,6 +66,16 @@ RUN_ARTIFACTS = (
     "search.json",
     "diagnostics.csv",
     "manifest.json",
+)
+
+# the thread-count variables of the BLAS builds numpy may use, recorded in the
+# manifest as the environment set them (None when unset)
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
 )
 
 
@@ -143,6 +160,20 @@ def _marginal_audits(pool, dataset, trials, seed, n=16):
     return reports
 
 
+@contextmanager
+def _timed(stage_s: dict, stage: str):
+    """Adds the wall time of the block to ``stage_s[stage]``."""
+    start = time.perf_counter()
+    yield
+    stage_s[stage] += time.perf_counter() - start
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
+
+
 def run(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -152,30 +183,42 @@ def run(
     """Execute the full pipeline and write all artifacts; returns the manifest.
 
     The config is validated before anything is written, so a bad value raises
-    ValidationError naming its field and leaves no directory behind.
+    ValidationError naming its field and leaves no directory behind.  The
+    manifest's ``stage_s`` times the data, train, search and diagnostics
+    stages and, under ``write``, every artifact write but the manifest's own.
     """
     started = time.perf_counter()
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stage_s = dict.fromkeys(("data", "train", "search", "diagnostics", "write"), 0.0)
 
-    _, dataset = build_dataset(cfg)
-    save_dataset(dataset, out / "dataset.csv")
+    with _timed(stage_s, "data"):
+        _, dataset = build_dataset(cfg)
+    with _timed(stage_s, "write"):
+        save_dataset(dataset, out / "dataset.csv")
 
-    model, trace = train_model(cfg, dataset)
-    save_model(model, out / "model.json")
-    save_loss_trace(trace, out / "loss_trace.csv")
+    with _timed(stage_s, "train"):
+        model, trace = train_model(cfg, dataset)
+    with _timed(stage_s, "write"):
+        save_model(model, out / "model.json")
+        save_loss_trace(trace, out / "loss_trace.csv")
 
-    result = run_search(cfg, model, dataset)
-    save_search_result(result, out / "search.csv", out / "search.json")
+    with _timed(stage_s, "search"):
+        result = run_search(cfg, model, dataset)
+    with _timed(stage_s, "write"):
+        save_search_result(result, out / "search.csv", out / "search.json")
 
-    report, audits = run_diagnostics(cfg, model, dataset)
-    save_radius_rows(report.rows, out / "diagnostics.csv")
+    with _timed(stage_s, "diagnostics"):
+        report, audits = run_diagnostics(cfg, model, dataset)
+    with _timed(stage_s, "write"):
+        save_radius_rows(report.rows, out / "diagnostics.csv")
     artifacts = list(RUN_ARTIFACTS)
     audit_summary = {}
     for name, reports in audits.items():
         fname = f"audit_{name}.csv"
-        save_bound_reports(reports, out / fname)
+        with _timed(stage_s, "write"):
+            save_bound_reports(reports, out / fname)
         artifacts.append(fname)
         audit_summary[name] = {
             "trials": len(reports),
@@ -211,12 +254,22 @@ def run(
             "audits": audit_summary,
         },
         "artifacts": sorted(artifacts),
+        "stage_s": stage_s,
+        "peak_rss_mb": _peak_rss_mb(),
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_s": time.perf_counter() - started,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def error_record(exc: Exception, stage: str) -> dict:
+    """The JSON diagnostic of a failure: exception type, message, the stage
+    it failed in and, for a ValidationError, the config field it names."""
+    record = {"error": type(exc).__name__, "message": str(exc), "stage": stage}
+    if isinstance(exc, ValidationError):
+        record["field"] = exc.field
+    return record
 
 
 def _clone(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -237,9 +290,11 @@ def sweep(
 ) -> list[dict]:
     """One run per grid cell per seed; cells are isolated subdirectories.
 
-    Per-cell failures are recorded in the summary and do not stop the sweep.
-    Returns (and writes to summary.csv) one row per cell with the mean and
-    standard deviation of the best normalized score across usable seeds.
+    Per-cell failures do not stop the sweep: each failed job is counted in
+    the summary and recorded in failures.json as its cell index and seed plus
+    its ``error_record``.  Returns (and writes to summary.csv) one row per
+    cell with the mean and standard deviation of the best normalized score
+    across usable seeds.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +316,7 @@ def sweep(
             manifest = run(job_cfg, job_dir)
             return ci, seed, manifest["search"]["best_normalized"], None
         except Exception as exc:  # recorded, sweep continues
-            return ci, seed, None, f"{type(exc).__name__}: {exc}"
+            return ci, seed, None, {"cell": ci, "seed": seed, **error_record(exc, "run")}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -288,12 +343,13 @@ def sweep(
         "mean_best_normalized",
         "std_best_normalized",
     ]
-    with open(out / "summary.csv", "w") as fh:
+    with atomic_open(out / "summary.csv") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(
                 ",".join("" if row[k] is None else str(row[k]) for k in header) + "\n"
             )
+    write_json(out / "failures.json", [e for _, _, _, e in outcomes if e is not None])
     return rows
 
 
@@ -325,7 +381,7 @@ def save_compare_rows(rows: list[dict], path: str | Path) -> None:
     if not rows:
         raise ValueError("nothing to compare")
     header = list(rows[0].keys())
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("" if row.get(k) is None else str(row.get(k)) for k in header) + "\n")

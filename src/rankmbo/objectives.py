@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .surrogate import MlpSurrogate, TrainConfig, ValidationError, _Optimizer, zscore_adapt
 from .tasks import OfflineDataset
 
@@ -392,7 +393,7 @@ def get_objective(name: str):
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "loss"])
         for it, loss in enumerate(np.asarray(trace, dtype=float)):

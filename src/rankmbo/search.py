@@ -11,12 +11,12 @@ grader.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .surrogate import MlpSurrogate, ValidationError
 from .tasks import OfflineDataset, normalized_score
 from .objectives import PartitionedDataset
@@ -201,7 +201,7 @@ def save_search_result(
     norm_scores = (
         result.normalized_scores if result.normalized_scores is not None else [np.nan] * n
     )
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for cid in range(n):
@@ -222,6 +222,4 @@ def save_search_result(
             "best_normalized": result.best_normalized,
             "config": result.config.to_dict(),
         }
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        write_json(json_path, summary)

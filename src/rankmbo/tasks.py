@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
+
 __all__ = [
     "TaskSpec",
     "OfflineDataset",
@@ -55,7 +57,6 @@ class TaskSpec:
     lower: np.ndarray
     upper: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-    maximize: bool = True
 
     def __post_init__(self) -> None:
         self.lower = np.asarray(self.lower, dtype=float)
@@ -258,15 +259,13 @@ def save_dataset(
     """Write the dataset as CSV (x0..x{d-1},y) plus an optional JSON sidecar."""
     csv_path = Path(csv_path)
     dim = dataset.task.dim
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(dim)] + ["y"])
         for row, y in zip(dataset.designs, dataset.scores):
             writer.writerow([_fmt(v) for v in row] + [_fmt(y)])
     if sidecar_path is not None:
-        with open(sidecar_path, "w") as fh:
-            json.dump(dataset_sidecar(dataset), fh, indent=2)
-            fh.write("\n")
+        write_json(sidecar_path, dataset_sidecar(dataset))
 
 
 def dataset_sidecar(dataset: OfflineDataset) -> dict:

@@ -15,6 +15,8 @@ from rankmbo.config import (
     reseed,
     set_by_path,
 )
+from rankmbo.artifacts import write_json
+from rankmbo.diagnostics import RadiusRow, save_radius_rows
 from rankmbo.harness import RUN_ARTIFACTS, compare, run, save_compare_rows, sweep
 
 FAST_CFG = """
@@ -201,6 +203,15 @@ class TestRun:
         assert on_disk["search"]["best_normalized"] == manifest["search"]["best_normalized"]
         assert on_disk["dataset"]["y_min_full"] < on_disk["dataset"]["y_max_full"]
 
+    def test_manifest_times_stages_and_records_environment(self, run_dir):
+        _, manifest = run_dir
+        stages = manifest["stage_s"]
+        assert list(stages) == ["data", "train", "search", "diagnostics", "write"]
+        assert all(t >= 0.0 for t in stages.values())
+        assert sum(stages.values()) <= manifest["wall_clock_s"]
+        assert manifest["peak_rss_mb"] > 0.0
+        assert set(manifest["blas_thread_env"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out, _ = run_dir
         cfg = parse_config(FAST_CFG)
@@ -280,10 +291,45 @@ class TestSweep:
         assert [row["n_failed"] for row in rows] == [1, 0]
         assert rows[0]["mean_best_normalized"] is None
         assert not (tmp_path / "sw" / "cell_000").exists()
+        failures = json.loads((tmp_path / "sw" / "failures.json").read_text())
+        assert failures == [
+            {
+                "cell": 0,
+                "seed": 0,
+                "error": "ValidationError",
+                "message": failures[0]["message"],
+                "stage": "run",
+                "field": "train.objective",
+            }
+        ]
+        assert failures[0]["message"].startswith("train.objective: ")
         manifest = json.loads(
             (tmp_path / "sw" / "cell_001" / "seed_0" / "manifest.json").read_text()
         )
         assert manifest["objective"] == "mse"
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        # the second row is not a RadiusRow: raises after the header is written
+        "csv": lambda path: save_radius_rows([RadiusRow(1.0, 3, 0.5), None], path),
+        # the second value is not serializable: raises inside json.dump
+        "json": lambda path: write_json(path, {"a": 1, "b": object()}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_writer_raising_mid_write_leaves_no_file(self, tmp_path, kind):
+        with pytest.raises((AttributeError, TypeError)):
+            self.WRITERS[kind](tmp_path / "artifact")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_writer_raising_mid_write_keeps_previous_file(self, tmp_path, kind):
+        (tmp_path / "artifact").write_text("previous\n")
+        with pytest.raises((AttributeError, TypeError)):
+            self.WRITERS[kind](tmp_path / "artifact")
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+        assert (tmp_path / "artifact").read_text() == "previous\n"
 
 
 class TestCompare:
@@ -377,6 +423,13 @@ class TestCli:
             "search.csv", "search.json", "diagnostics.csv", "diagnostics.json",
         ):
             assert (out / name).exists(), name
+        # search and diagnose reload model.json, so their outputs match the
+        # one-process run only if the model file round-trips exactly
+        proc = self._cli("run", "--config", str(cfg_file), "--out", str(tmp_path / "run"))
+        assert proc.returncode == 0, proc.stderr
+        for name in RUN_ARTIFACTS:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

@@ -1,9 +1,13 @@
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankmbo.surrogate import (
     MlpSurrogate,
@@ -425,6 +429,60 @@ class TestPersistence:
         data = json.loads((tmp_path / "m.json").read_text())
         for key in ("layer_sizes", "weights", "biases", "seed", "x_mean", "x_std"):
             assert key in data
+
+    # any finite float64, with the edge cases drawn often: signed zeros,
+    # subnormals and the largest magnitudes
+    FINITE = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 4), hidden=st.integers(1, 6), data=st.data())
+    def test_random_parameters_roundtrip_bit_identical_and_writable(self, dim, hidden, data):
+        shapes = [(hidden, dim), (hidden, hidden), (1, hidden)]
+        weights = [data.draw(hnp.arrays(np.float64, s, elements=self.FINITE)) for s in shapes]
+        biases = [data.draw(hnp.arrays(np.float64, s[:1], elements=self.FINITE)) for s in shapes]
+        m = MlpSurrogate(weights, biases, seed=7)
+        with tempfile.TemporaryDirectory() as d:
+            save_model(m, Path(d) / "model.json")
+            loaded = load_model(Path(d) / "model.json")
+        for a, b in zip(loaded.weights + loaded.biases, m.weights + m.biases):
+            assert a.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()  # bit for bit, -0.0 included
+            assert a.flags.writeable and a.flags.owndata
+
+    def test_arrays_stored_as_little_endian_float64_base64(self, tmp_path):
+        m = init_surrogate(2, 3, seed=1)
+        save_model(m, tmp_path / "m.json")
+        data = json.loads((tmp_path / "m.json").read_text())
+        raw = base64.b64decode(data["weights"][1])
+        assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(3, 3), m.weights[1])
+        assert data["layer_sizes"] == [2, 3, 3, 1]
+
+    @pytest.mark.parametrize(
+        "key, index, entry, match",
+        [
+            # the right byte count once the stray "*" is skipped, as a
+            # non-validating decoder would
+            (
+                "weights",
+                1,
+                "*" + base64.b64encode(np.zeros(9)).decode(),
+                r"weights\[1\]: invalid base64",
+            ),
+            ("biases", 0, base64.b64encode(np.zeros(2)).decode(), r"biases\[0\]: 16 bytes"),
+            ("weights", 0, np.zeros((3, 2)).tolist(), r"weights\[0\]: expected a base64 string"),
+        ],
+        ids=["invalid_base64", "byte_length", "list_form"],
+    )
+    def test_malformed_array_rejected_naming_field(self, tmp_path, key, index, entry, match):
+        save_model(init_surrogate(2, 3, seed=1), tmp_path / "m.json")
+        data = json.loads((tmp_path / "m.json").read_text())
+        data[key][index] = entry
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=match):
+            load_model(tmp_path / "m.json")
 
 
 class TestTrainConfig:

@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--profile", choices=("desk", "paper"), default=None, help="scale profile"
         )
-        p.add_argument("--threads", type=int, default=1, help="sweep worker count")
 
     for name in ("gen-data", "train", "search", "diagnose", "run"):
         add_common(sub.add_parser(name))
@@ -129,7 +128,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    manifest = run(cfg, args.out, profile=args.profile, threads=args.threads)
+    manifest = run(cfg, args.out, profile=args.profile)
     print(
         f"run complete: best_normalized={manifest['search']['best_normalized']:.4f} "
         f"overall_rank_error={manifest['diagnostics']['overall_error']:.4f}"
@@ -146,7 +145,7 @@ def _cmd_sweep(args) -> int:
         path, values = axis.split("=", 1)
         grid[path.strip()] = [v.strip() for v in values.split(",") if v.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    rows = sweep(cfg, grid, seeds, args.out, threads=args.threads)
+    rows = sweep(cfg, grid, seeds, args.out)
     print(f"sweep complete: {len(rows)} cells x {len(seeds)} seeds")
     return EXIT_OK
 

@@ -4,10 +4,12 @@ A config file has four sections (task, train, search, diagnostics); every key
 is optional and falls back to the desk-scale default.  Per-stage seeds default
 to fixed offsets from the task seed so one base seed pins the whole pipeline.
 
-The train and search sections map onto the runtime configs of the stages that
-use them (``TrainConfig`` and its subclasses, ``SearchConfig``), which check
-their own values; ``validate`` builds them the way the harness does and
-reports their errors under the dotted config path.
+Each rule lives with the code that the value feeds: the task section is
+checked by ``tasks`` (``get_task`` and the dataset builder's pool check), the
+objective by ``objectives.get_objective``, the train and search sections by
+the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``) and
+the radii by ``diagnostics``.  ``validate`` runs those checks the way the
+harness does and reports their errors under the dotted config path.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .diagnostics import _check_radii
-from .objectives import OBJECTIVES, DarConfig
+from .objectives import DarConfig, get_objective
 from .search import SearchConfig
-from .surrogate import ValidationError
-from .tasks import _TASK_FACTORIES
+from .tasks import ValidationError, _check_pool, get_task
 
 __all__ = [
     "ValidationError",
@@ -37,6 +38,11 @@ __all__ = [
     "set_by_path",
     "preset_path",
 ]
+
+SECTIONS = ("task", "train", "search", "diagnostics")
+
+# a stage seed left unset is the task seed plus the stage's offset
+SEED_OFFSETS = {"task": 0, "train": 1, "search": 2, "diagnostics": 3}
 
 PROFILES = {
     "desk": {"train.hidden": 64, "search.num_candidates": 32},
@@ -96,15 +102,11 @@ class ExperimentConfig:
     diagnostics: DiagnosticsBlock = field(default_factory=DiagnosticsBlock)
 
     def resolved_seeds(self) -> dict[str, int]:
-        base = self.task.seed
-        return {
-            "task": base,
-            "train": self.train.seed if self.train.seed is not None else base + 1,
-            "search": self.search.seed if self.search.seed is not None else base + 2,
-            "diagnostics": (
-                self.diagnostics.seed if self.diagnostics.seed is not None else base + 3
-            ),
-        }
+        seeds = {}
+        for section, offset in SEED_OFFSETS.items():
+            seed = getattr(self, section).seed
+            seeds[section] = self.task.seed + offset if seed is None else seed
+        return seeds
 
     def train_config(self, config_cls):
         """The runtime config ``config_cls`` built from the train section and
@@ -123,7 +125,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for section in ("task", "train", "search", "diagnostics"):
+        for section in SECTIONS:
             block = getattr(self, section)
             out[section] = {
                 f.name: _plain(getattr(block, f.name)) for f in fields(block)
@@ -175,21 +177,11 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValidationError("config", str(exc))
     cfg = ExperimentConfig()
-    blocks = {
-        "task": cfg.task,
-        "train": cfg.train,
-        "search": cfg.search,
-        "diagnostics": cfg.diagnostics,
-    }
     for section in parser.sections():
-        if section not in blocks:
+        if section not in SECTIONS:  # rejected even when it has no keys
             raise ValidationError(section, "unknown section")
-        block = blocks[section]
-        known = {f.name for f in fields(block)}
         for key, raw in parser.items(section):
-            if key not in known:
-                raise ValidationError(f"{section}.{key}", "unknown key")
-            setattr(block, key, _convert(section, key, raw, getattr(block, key)))
+            set_by_path(cfg, f"{section}.{key}", raw)
     validate(cfg)
     return cfg
 
@@ -200,25 +192,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> None:
     t = cfg.task
-    if t.name not in _TASK_FACTORIES:
-        raise ValidationError("task.name", f"unknown task {t.name!r}")
-    if t.pool_size < 2:
-        raise ValidationError("task.pool_size", "must be at least 2")
-    if not 0.0 < t.keep_fraction <= 1.0:
-        raise ValidationError("task.keep_fraction", "must lie in (0, 1]")
-    if int(t.keep_fraction * t.pool_size) < 2:
-        raise ValidationError("task.keep_fraction", "keeps fewer than 2 designs")
-    if t.noise_std < 0.0:
-        raise ValidationError("task.noise_std", "must be non-negative")
+    with _section("task"):
+        get_task(t.name)
+        _check_pool(t.pool_size, t.keep_fraction, t.noise_std)
 
-    tr = cfg.train
-    if tr.objective not in OBJECTIVES:
-        raise ValidationError("train.objective", f"must be one of {tuple(OBJECTIVES)}")
-    if tr.hidden < 1:
-        raise ValidationError("train.hidden", "must be positive")
-    # DarConfig is the widest train config; its near_fraction also splits the
-    # dataset for search, whatever the objective
     with _section("train"):
+        get_objective(cfg.train.objective)
+        if cfg.train.hidden < 1:
+            raise ValidationError("hidden", "must be positive")
+        # DarConfig is the widest train config; its near_fraction also splits
+        # the dataset for search, whatever the objective
         cfg.train_config(DarConfig)
     with _section("search"):
         cfg.search_config()
@@ -230,8 +213,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ValidationError(
             "diagnostics.eval_near_fraction", "must lie strictly in (0, 1)"
         )
-    if len(d.radii) == 0:
-        raise ValidationError("diagnostics.radii", "must list at least one radius")
     try:
         _check_radii(d.radii)
     except ValueError as exc:
@@ -246,7 +227,7 @@ def validate(cfg: ExperimentConfig) -> None:
 
 @contextmanager
 def _section(name: str):
-    """Re-raise a runtime config's ValidationError under ``name.<key>``."""
+    """Re-raise a ValidationError of section ``name`` under ``name.<key>``."""
     try:
         yield
     except ValidationError as exc:
@@ -265,10 +246,8 @@ def apply_profile(cfg: ExperimentConfig, profile: str | None) -> ExperimentConfi
 
 def reseed(cfg: ExperimentConfig, base_seed: int) -> ExperimentConfig:
     """Re-derive every stage seed from one base seed."""
-    cfg.task.seed = base_seed
-    cfg.train.seed = base_seed + 1
-    cfg.search.seed = base_seed + 2
-    cfg.diagnostics.seed = base_seed + 3
+    for section, offset in SEED_OFFSETS.items():
+        getattr(cfg, section).seed = base_seed + offset
     return cfg
 
 
@@ -278,7 +257,7 @@ def set_by_path(cfg: ExperimentConfig, path: str, value) -> None:
         section, key = path.split(".", 1)
     except ValueError:
         raise ValidationError(path, "expected a dotted path like train.intra_ratio")
-    if section not in ("task", "train", "search", "diagnostics"):
+    if section not in SECTIONS:
         raise ValidationError(path, "unknown section")
     block = getattr(cfg, section)
     if key not in {f.name for f in fields(block)}:

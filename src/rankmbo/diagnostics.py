@@ -52,6 +52,7 @@ __all__ = [
     "audit_marginal_decomposition",
     "save_radius_rows",
     "save_bound_reports",
+    "report_summary",
     "save_report_summary",
 ]
 
@@ -184,9 +185,11 @@ def manifold_diameter(manifold: np.ndarray) -> float:
 
 
 def _check_radii(radii) -> list[float]:
-    """Radii as floats; they must be positive and strictly ascending, so the
-    restricted sets are nested."""
+    """Radii as floats; there must be at least one, positive and strictly
+    ascending, so the restricted sets are nested."""
     radii = [float(r) for r in radii]
+    if not radii:
+        raise ValueError("radii must list at least one radius")
     if any(r <= 0.0 for r in radii):
         raise ValueError("radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -422,8 +425,9 @@ def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
             )
 
 
-def save_report_summary(report: RankingErrorReport, path: str | Path) -> None:
-    summary = {
+def report_summary(report: RankingErrorReport) -> dict:
+    """The report's scalars and radius rows as plain JSON values."""
+    return {
         "overall_error": report.overall_error,
         "value_gap": report.value_gap,
         "w1_near": report.w1_near,
@@ -438,4 +442,7 @@ def save_report_summary(report: RankingErrorReport, path: str | Path) -> None:
             for r in report.rows
         ],
     }
-    write_json(path, summary)
+
+
+def save_report_summary(report: RankingErrorReport, path: str | Path) -> None:
+    write_json(path, report_summary(report))

@@ -10,15 +10,14 @@ atomically (``artifacts.atomic_open``).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import os
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from .diagnostics import (
     audit_mse_to_rank,
     build_ranking_report,
     make_eval_pool,
+    report_summary,
     save_bound_reports,
     save_radius_rows,
 )
@@ -178,7 +178,6 @@ def run(
     cfg: ExperimentConfig,
     out_dir: str | Path,
     profile: str | None = None,
-    threads: int = 1,
 ) -> dict:
     """Execute the full pipeline and write all artifacts; returns the manifest.
 
@@ -231,7 +230,6 @@ def run(
     manifest = {
         "version": f"rankmbo-{__version__}",
         "profile": profile,
-        "threads": threads,
         "objective": cfg.train.objective,
         "config": cfg.to_dict(),
         "seeds": cfg.resolved_seeds(),
@@ -241,18 +239,7 @@ def run(
             "best_true": result.best_true,
             "best_normalized": result.best_normalized,
         },
-        "diagnostics": {
-            "overall_error": report.overall_error,
-            "value_gap": report.value_gap,
-            "w1_near": report.w1_near,
-            "mean_dist_to_manifold": report.mean_dist_to_manifold,
-            "manifold_diameter": report.manifold_diameter,
-            "radius_errors": [
-                {"d": r.radius, "n_restricted": r.n_restricted, "rank_error": r.error}
-                for r in report.rows
-            ],
-            "audits": audit_summary,
-        },
+        "diagnostics": {**report_summary(report), "audits": audit_summary},
         "artifacts": sorted(artifacts),
         "stage_s": stage_s,
         "peak_rss_mb": _peak_rss_mb(),
@@ -272,23 +259,14 @@ def error_record(exc: Exception, stage: str) -> dict:
     return record
 
 
-def _clone(cfg: ExperimentConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        task=replace(cfg.task),
-        train=replace(cfg.train),
-        search=replace(cfg.search),
-        diagnostics=replace(cfg.diagnostics),
-    )
-
-
 def sweep(
     cfg: ExperimentConfig,
     grid: dict[str, list],
     seeds: list[int],
     out_dir: str | Path,
-    threads: int = 1,
 ) -> list[dict]:
-    """One run per grid cell per seed; cells are isolated subdirectories.
+    """One run per grid cell per seed, one after another; cells are isolated
+    subdirectories.
 
     Per-cell failures do not stop the sweep: each failed job is counted in
     the summary and recorded in failures.json as its cell index and seed plus
@@ -304,7 +282,7 @@ def sweep(
     jobs = []
     for ci, cell in enumerate(cells):
         for seed in seeds:
-            job_cfg = _clone(cfg)
+            job_cfg = copy.deepcopy(cfg)
             for (path, _), value in zip(axes, cell):
                 set_by_path(job_cfg, path, value)
             reseed(job_cfg, seed)
@@ -318,11 +296,7 @@ def sweep(
         except Exception as exc:  # recorded, sweep continues
             return ci, seed, None, {"cell": ci, "seed": seed, **error_record(exc, "run")}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_one, jobs))
-    else:
-        outcomes = [_one(job) for job in jobs]
+    outcomes = [_one(job) for job in jobs]
 
     rows = []
     for ci, cell in enumerate(cells):

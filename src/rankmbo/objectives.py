@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import atomic_open
-from .surrogate import MlpSurrogate, TrainConfig, ValidationError, _Optimizer, zscore_adapt
-from .tasks import OfflineDataset
+from .surrogate import MlpSurrogate, TrainConfig, _Optimizer, zscore_adapt
+from .tasks import OfflineDataset, ValidationError
 
 __all__ = [
     "OBJECTIVES",
@@ -199,6 +199,15 @@ def sample_ranked_pairs(
     """
     scores = np.asarray(scores, dtype=float)
     _require_ranked_pair(scores)
+    return _draw_ranked(rng, scores, count)
+
+
+def _draw_ranked(
+    rng: np.random.Generator, scores: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pref, other) indices into ``scores``: ``count`` uniform candidate
+    pairs, tied ones redrawn until none is left, each oriented by score.
+    The caller has checked that a strictly ranked pair exists."""
     m = len(scores)
     i = rng.integers(0, m, size=count)
     j = rng.integers(0, m, size=count)
@@ -209,9 +218,7 @@ def sample_ranked_pairs(
         j[tied] = rng.integers(0, m, size=n_bad)
         tied = scores[i] == scores[j]
     swap = scores[j] > scores[i]
-    pref = np.where(swap, j, i)
-    other = np.where(swap, i, j)
-    return pref, other
+    return np.where(swap, j, i), np.where(swap, i, j)
 
 
 def sample_dar_pairs(
@@ -240,17 +247,9 @@ def sample_dar_pairs(
 
     n_intra = count - n_cross
     if n_intra > 0:
-        a = part.near_idx[rng.integers(0, part.n_near, size=n_intra)]
-        b = part.near_idx[rng.integers(0, part.n_near, size=n_intra)]
-        tied = scores[a] == scores[b]
-        while tied.any():
-            n_bad = int(tied.sum())
-            a[tied] = part.near_idx[rng.integers(0, part.n_near, size=n_bad)]
-            b[tied] = part.near_idx[rng.integers(0, part.n_near, size=n_bad)]
-            tied = scores[a] == scores[b]
-        swap = scores[b] > scores[a]
-        pref[intra] = np.where(swap, b, a)
-        other[intra] = np.where(swap, a, b)
+        near_pref, near_other = _draw_ranked(rng, scores[part.near_idx], n_intra)
+        pref[intra] = part.near_idx[near_pref]
+        other[intra] = part.near_idx[near_other]
     return pref, other, intra
 
 
@@ -387,7 +386,9 @@ def get_objective(name: str):
     """(config class, trainer) of a training objective; every trainer returns
     a model adapted for search."""
     if name not in OBJECTIVES:
-        raise ValueError(f"unknown objective {name!r} (known: {', '.join(OBJECTIVES)})")
+        raise ValidationError(
+            "objective", f"unknown objective {name!r} (known: {', '.join(OBJECTIVES)})"
+        )
     config_cls, trainer = OBJECTIVES[name]
     return config_cls, globals()[trainer]
 

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import atomic_open, write_json
-from .surrogate import MlpSurrogate, ValidationError
-from .tasks import OfflineDataset, normalized_score
+from .surrogate import MlpSurrogate
+from .tasks import OfflineDataset, ValidationError, normalized_score
 from .objectives import PartitionedDataset
 
 __all__ = [

@@ -41,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
+from .tasks import ValidationError
 
 __all__ = [
-    "ValidationError",
     "TrainConfig",
     "MlpSurrogate",
     "init_surrogate",
@@ -53,20 +53,6 @@ __all__ = [
 ]
 
 ADAPT_STD_FLOOR = 1e-12
-
-
-class ValidationError(ValueError):
-    """A config field failed validation; carries the field name.
-
-    The runtime configs raise it with their own key (``iterations``);
-    ``config.validate`` re-raises it under the dotted config path
-    (``train.iterations``), which the CLI reports as the JSON ``field``.
-    """
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        self.message = message
-        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass

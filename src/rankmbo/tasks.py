@@ -21,6 +21,7 @@ import numpy as np
 from .artifacts import atomic_open, write_json
 
 __all__ = [
+    "ValidationError",
     "TaskSpec",
     "OfflineDataset",
     "eval_branin",
@@ -43,6 +44,21 @@ BRANIN_MAXIMIZERS = (
     (9.42478, 2.475),
 )
 BRANIN_MAX_VALUE = -0.397887
+
+
+class ValidationError(ValueError):
+    """A config field failed validation; carries the field name.
+
+    The runtime configs and the dataset builder raise it with their own key
+    (``iterations``, ``pool_size``); ``config.validate`` re-raises it under
+    the dotted config path (``train.iterations``), which the CLI reports as
+    the JSON ``field``.
+    """
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        self.message = message
+        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass
@@ -181,8 +197,25 @@ _TASK_FACTORIES: dict[str, Callable[[], TaskSpec]] = {
 def get_task(name: str) -> TaskSpec:
     if name not in _TASK_FACTORIES:
         known = ", ".join(sorted(_TASK_FACTORIES))
-        raise ValueError(f"unknown task {name!r} (known: {known})")
+        raise ValidationError("name", f"unknown task {name!r} (known: {known})")
     return _TASK_FACTORIES[name]()
+
+
+def _check_pool(pool_size: int, keep_fraction: float, noise_std: float) -> int:
+    """The number of designs kept; raises ValidationError naming the bad
+    argument."""
+    if pool_size < 2:
+        raise ValidationError("pool_size", "must be at least 2")
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValidationError("keep_fraction", "must lie in (0, 1]")
+    keep = int(math.floor(keep_fraction * pool_size))
+    if keep < 2:
+        raise ValidationError(
+            "keep_fraction", f"keeps {keep} of {pool_size} designs, fewer than 2"
+        )
+    if noise_std < 0.0:
+        raise ValidationError("noise_std", "must be non-negative")
+    return keep
 
 
 def make_offline_dataset(
@@ -198,18 +231,7 @@ def make_offline_dataset(
     normalization.  Deterministic for a fixed seed; ties in the keep selection
     are broken by original pool index via a stable sort.
     """
-    if pool_size < 2:
-        raise ValueError("pool_size must be at least 2")
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
-    keep = int(math.floor(keep_fraction * pool_size))
-    if keep < 2:
-        raise ValueError(
-            f"keep_fraction * pool_size = {keep} keeps fewer than 2 designs"
-        )
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be non-negative")
-
+    keep = _check_pool(pool_size, keep_fraction, noise_std)
     rng = np.random.default_rng(seed)
     pool = rng.uniform(task.lower, task.upper, size=(pool_size, task.dim))
     y_true = task.evaluate_batch(pool)

@@ -409,7 +409,6 @@ def test_criterion_10_reproducibility(tmp_path):
                 sys.executable, "-m", "rankmbo", "run",
                 "--config", str(preset_path("branin_dar_desk")),
                 "--out", str(tmp_path / sub),
-                "--threads", "1",
             ],
             capture_output=True,
             text=True,

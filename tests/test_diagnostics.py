@@ -264,6 +264,8 @@ class TestRadiusSweep:
                 run([-1.0])
             with pytest.raises(ValueError, match="positive"):
                 run([0.0, 1.0])
+            with pytest.raises(ValueError, match="at least one radius"):
+                run(())
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.lists(st.integers(0, 10**9), min_size=1, max_size=6))

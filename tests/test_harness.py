@@ -202,6 +202,7 @@ class TestRun:
         assert "wall_clock_s" in on_disk
         assert on_disk["search"]["best_normalized"] == manifest["search"]["best_normalized"]
         assert on_disk["dataset"]["y_min_full"] < on_disk["dataset"]["y_max_full"]
+        assert "threads" not in on_disk
 
     def test_manifest_times_stages_and_records_environment(self, run_dir):
         _, manifest = run_dir

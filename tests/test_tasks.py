@@ -5,6 +5,7 @@ from rankmbo.tasks import (
     BRANIN_MAX_VALUE,
     BRANIN_MAXIMIZERS,
     OfflineDataset,
+    ValidationError,
     branin_task,
     eval_branin,
     eval_quadratic_bowl,
@@ -145,6 +146,22 @@ class TestMakeOfflineDataset:
         with pytest.raises(ValueError):
             make_offline_dataset(branin_task(), pool_size, keep_fraction, seed=0)
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("pool_size", dict(pool_size=1, keep_fraction=1.0)),
+            ("keep_fraction", dict(pool_size=100, keep_fraction=0.0)),
+            ("keep_fraction", dict(pool_size=100, keep_fraction=1.5)),
+            ("keep_fraction", dict(pool_size=100, keep_fraction=0.01)),
+            ("noise_std", dict(pool_size=100, keep_fraction=0.6, noise_std=-1.0)),
+        ],
+    )
+    def test_bad_argument_names_field(self, field, kwargs):
+        with pytest.raises(ValueError) as excinfo:
+            make_offline_dataset(branin_task(), seed=0, **kwargs)
+        assert isinstance(excinfo.value, ValidationError)
+        assert excinfo.value.field == field
+
 
 def with_extrema(y_min, y_max):
     """A two-point dataset carrying the given pool extrema."""
@@ -240,5 +257,7 @@ class TestDatasetValidationAndIO:
 
     def test_get_task(self):
         assert get_task("branin").name == "branin"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             get_task("nope")
+        assert isinstance(excinfo.value, ValidationError)
+        assert excinfo.value.field == "name"

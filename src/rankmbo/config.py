@@ -7,9 +7,10 @@ to fixed offsets from the task seed so one base seed pins the whole pipeline.
 Each rule lives with the code that the value feeds: the task section is
 checked by ``tasks`` (``get_task`` and the dataset builder's pool check), the
 objective by ``objectives.get_objective``, the train and search sections by
-the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``) and
-the radii by ``diagnostics``.  ``validate`` runs those checks the way the
-harness does and reports their errors under the dotted config path.
+the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``),
+the eval pool and the radii by ``diagnostics``.  ``validate`` runs those
+checks the way the harness does and reports their errors under the dotted
+config path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .diagnostics import _check_radii
+from .diagnostics import _check_eval_pool, _check_radii
 from .objectives import DarConfig, get_objective
 from .search import SearchConfig
 from .tasks import ValidationError, _check_pool, get_task
@@ -155,12 +156,6 @@ def _convert(section: str, key: str, raw: str, template) -> object:
             raise ValidationError(name, f"cannot parse radii list from {raw!r}")
     target = type(template) if template is not None else None
     try:
-        if target is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if target is int or (template is None and key == "seed"):
             return int(raw)
         if target is float:
@@ -207,22 +202,15 @@ def validate(cfg: ExperimentConfig) -> None:
         cfg.search_config()
 
     d = cfg.diagnostics
-    if d.eval_pool_size < 2:
-        raise ValidationError("diagnostics.eval_pool_size", "must be at least 2")
-    if not 0.0 < d.eval_near_fraction < 1.0:
-        raise ValidationError(
-            "diagnostics.eval_near_fraction", "must lie strictly in (0, 1)"
-        )
-    try:
+    with _section("diagnostics"):
+        _check_eval_pool(d.eval_pool_size, d.eval_near_fraction)
         _check_radii(d.radii)
-    except ValueError as exc:
-        raise ValidationError("diagnostics.radii", str(exc)) from None
-    if d.w1_sample_size < 1:
-        raise ValidationError("diagnostics.w1_sample_size", "must be positive")
-    if d.mse_rank_audit_trials < 0:
-        raise ValidationError("diagnostics.mse_rank_audit_trials", "must be non-negative")
-    if d.marginal_audit_trials < 0:
-        raise ValidationError("diagnostics.marginal_audit_trials", "must be non-negative")
+        if d.w1_sample_size < 1:
+            raise ValidationError("w1_sample_size", "must be positive")
+        if d.mse_rank_audit_trials < 0:
+            raise ValidationError("mse_rank_audit_trials", "must be non-negative")
+        if d.marginal_audit_trials < 0:
+            raise ValidationError("marginal_audit_trials", "must be non-negative")
 
 
 @contextmanager

@@ -32,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .artifacts import atomic_open, write_json
 from .objectives import partition_scores
-from .tasks import OfflineDataset, TaskSpec
+from .tasks import OfflineDataset, TaskSpec, ValidationError
 
 __all__ = [
     "EvalPool",
@@ -127,6 +127,7 @@ class BoundReport:
 def make_eval_pool(
     task: TaskSpec, size: int, near_fraction: float, seed: int
 ) -> EvalPool:
+    _check_eval_pool(size, near_fraction)
     rng = np.random.default_rng(seed)
     designs = rng.uniform(task.lower, task.upper, size=(size, task.dim))
     return EvalPool(
@@ -135,6 +136,15 @@ def make_eval_pool(
         near_fraction=near_fraction,
         seed=seed,
     )
+
+
+def _check_eval_pool(size: int, near_fraction: float) -> None:
+    """Raises ValidationError naming the config key of a bad pool size or
+    near fraction."""
+    if size < 2:
+        raise ValidationError("eval_pool_size", "must be at least 2")
+    if not 0.0 < near_fraction < 1.0:
+        raise ValidationError("eval_near_fraction", "must lie strictly in (0, 1)")
 
 
 def ranking_error(score_fn, near: np.ndarray, sub: np.ndarray) -> float:
@@ -186,14 +196,15 @@ def manifold_diameter(manifold: np.ndarray) -> float:
 
 def _check_radii(radii) -> list[float]:
     """Radii as floats; there must be at least one, positive and strictly
-    ascending, so the restricted sets are nested."""
+    ascending, so the restricted sets are nested.  Raises ValidationError
+    naming ``radii``."""
     radii = [float(r) for r in radii]
     if not radii:
-        raise ValueError("radii must list at least one radius")
+        raise ValidationError("radii", "radii must list at least one radius")
     if any(r <= 0.0 for r in radii):
-        raise ValueError("radii must be positive")
+        raise ValidationError("radii", "radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly ascending")
+        raise ValidationError("radii", "radii must be strictly ascending")
     return radii
 
 

@@ -72,31 +72,20 @@ class SearchResult:
 
 
 class SurrogateObjective:
-    """Differentiable search objective backed by a surrogate model.
+    """Differentiable search objective: the surrogate's z-score adapted output."""
 
-    ``adapted=True`` (the default) scores and differentiates the z-score
-    adapted output; ``adapted=False`` uses the raw network output, which only
-    rescales every gradient by the adaptation std.
-    """
-
-    def __init__(self, model: MlpSurrogate, adapted: bool = True):
-        if adapted and not model.is_adapted:
+    def __init__(self, model: MlpSurrogate):
+        if not model.is_adapted:
             raise RuntimeError("model has no adaptation constants; adapt it first")
         self.model = model
-        self.adapted = adapted
         self.x_mean = model.x_mean
         self.x_std = model.x_std
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.adapted:
-            return self.model.predict_adapted_batch(X)
-        return self.model.forward_batch(X)
+        return self.model.predict_adapted_batch(X)
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        g = self.model.input_gradient_batch(X)
-        if self.adapted:
-            g = g / self.model.adapt_std
-        return g
+        return self.model.input_gradient_batch(X) / self.model.adapt_std
 
 
 def project_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -163,7 +152,7 @@ def propose_candidates(
         chosen = part.near_idx[rng.integers(0, part.n_near, size=k)]
     X0 = dataset.designs[chosen]
 
-    objective = SurrogateObjective(model, adapted=True)
+    objective = SurrogateObjective(model)
     paths = ascend(objective, X0, dataset.task.lower, dataset.task.upper, config)
     candidates = paths[:, -1].copy()
     return SearchResult(

@@ -6,6 +6,14 @@ respect to both the parameters (for training) and the raw input (for design
 search).  The ReLU subgradient at exactly 0 is defined as 0, which keeps all
 gradients deterministic.
 
+One method, ``MlpSurrogate._forward_cache``, runs the hidden layers for
+scoring, training and the input gradient alike.  It caches one array per
+hidden layer: each layer's matmul output gets its bias added and, after a
+check that it is finite, its ReLU applied in place, so the cache is
+``(Z, H1, H2)``.  The backward passes take each ReLU mask from ``H > 0``,
+which equals ``A > 0`` for the pre-activation ``A``.  Scoring n rows thus
+peaks at about two n x hidden float64 arrays.
+
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
 its upstream gradients through the cached activations, writing them straight
@@ -154,18 +162,20 @@ class MlpSurrogate:
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected inputs of shape (n, {self.dim})")
         Z = (X - self.x_mean) / self.x_std
-        A1 = Z @ self.weights[0].T + self.biases[0]
-        if not np.all(np.isfinite(A1)):
+        H1 = Z @ self.weights[0].T
+        H1 += self.biases[0]
+        if not np.all(np.isfinite(H1)):
             raise FloatingPointError("non-finite activation in layer 1")
-        H1 = np.maximum(A1, 0.0)
-        A2 = H1 @ self.weights[1].T + self.biases[1]
-        if not np.all(np.isfinite(A2)):
+        np.maximum(H1, 0.0, out=H1)
+        H2 = H1 @ self.weights[1].T
+        H2 += self.biases[1]
+        if not np.all(np.isfinite(H2)):
             raise FloatingPointError("non-finite activation in layer 2")
-        H2 = np.maximum(A2, 0.0)
+        np.maximum(H2, 0.0, out=H2)
         out = H2 @ self.weights[2].T + self.biases[2]
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite activation in layer 3")
-        return out[:, 0], (Z, A1, H1, A2, H2)
+        return out[:, 0], (Z, H1, H2)
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         out, _ = self._forward_cache(X)
@@ -209,34 +219,23 @@ class MlpSurrogate:
                 [np.empty_like(b) for b in self.biases],
             )
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
-        Z, A1, H1, A2, H2 = cache
+        Z, H1, H2 = cache
         np.matmul(up[None, :], H2, out=gw3)
         gb3[0] = up.sum()
-        d2 = up[:, None] * self.weights[2][0] * (A2 > 0.0)
+        d2 = up[:, None] * self.weights[2][0] * (H2 > 0.0)
         np.matmul(d2.T, H1, out=gw2)
         np.sum(d2, axis=0, out=gb2)
-        d1 = (d2 @ self.weights[1]) * (A1 > 0.0)
+        d1 = (d2 @ self.weights[1]) * (H1 > 0.0)
         np.matmul(d1.T, Z, out=gw1)
         np.sum(d1, axis=0, out=gb1)
         return out
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of h at each row, w.r.t. the raw (unstandardized) input."""
-        X = np.asarray(X, dtype=float)
-        Z = (X - self.x_mean) / self.x_std
-        A1 = Z @ self.weights[0].T + self.biases[0]
-        H1 = np.maximum(A1, 0.0)
-        A2 = H1 @ self.weights[1].T + self.biases[1]
-        v2 = self.weights[2][0][None, :] * (A2 > 0.0)
-        v1 = (v2 @ self.weights[1]) * (A1 > 0.0)
-        gz = v1 @ self.weights[0]
-        return gz / self.x_std
-
-    def min_preactivation_magnitude(self, x: np.ndarray) -> float:
-        """Smallest |pre-activation| at x; small values flag kink-adjacent inputs."""
-        x = np.asarray(x, dtype=float)
-        _, (_, A1, _, A2, _) = self._forward_cache(np.atleast_2d(x))
-        return float(min(np.abs(A1).min(), np.abs(A2).min()))
+        _, (_, H1, H2) = self._forward_cache(X)
+        v2 = self.weights[2][0][None, :] * (H2 > 0.0)
+        v1 = (v2 @ self.weights[1]) * (H1 > 0.0)
+        return (v1 @ self.weights[0]) / self.x_std
 
     # -- output adaptation ----------------------------------------------------
 

@@ -22,7 +22,13 @@ from rankmbo.diagnostics import (
     wasserstein1_assignment,
     wasserstein1_sorted,
 )
-from rankmbo.tasks import OfflineDataset, make_offline_dataset, quadratic_bowl_task
+from rankmbo.tasks import (
+    OfflineDataset,
+    ValidationError,
+    branin_task,
+    make_offline_dataset,
+    quadratic_bowl_task,
+)
 
 
 def enumerate_w1(A, B, metric="euclidean"):
@@ -47,6 +53,21 @@ def enumerate_w1(A, B, metric="euclidean"):
 def true_score_fn(pool_like):
     """Score function equal to the bowl's true objective."""
     return lambda X: -np.sum(np.atleast_2d(X) ** 2, axis=1)
+
+
+class TestEvalPool:
+    @pytest.mark.parametrize(
+        "size, near_fraction, field, message",
+        [
+            (1, 0.05, "eval_pool_size", "must be at least 2"),
+            (100, 1.5, "eval_near_fraction", "must lie strictly in (0, 1)"),
+        ],
+        ids=["pool_size", "near_fraction"],
+    )
+    def test_bad_argument_names_field(self, size, near_fraction, field, message):
+        with pytest.raises(ValidationError) as excinfo:
+            make_eval_pool(branin_task(), size, near_fraction, 0)
+        assert (excinfo.value.field, excinfo.value.message) == (field, message)
 
 
 class TestRankingError:
@@ -266,6 +287,12 @@ class TestRadiusSweep:
                 run([0.0, 1.0])
             with pytest.raises(ValueError, match="at least one radius"):
                 run(())
+
+    def test_bad_radii_name_field(self):
+        task, ds, pool = self._setup()
+        with pytest.raises(ValidationError) as excinfo:
+            ranking_error_vs_radius(task.evaluate_batch, pool, ds.designs, [2.0, 1.0])
+        assert excinfo.value.field == "radii"
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.lists(st.integers(0, 10**9), min_size=1, max_size=6))

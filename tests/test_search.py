@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -155,14 +157,14 @@ class TestAscend:
         sigma = model.adapt_std
         X0 = ds.designs[:1]
         lo, hi = ds.task.lower, ds.task.upper
+        raw = SimpleNamespace(
+            gradient_batch=model.input_gradient_batch, x_mean=model.x_mean, x_std=model.x_std
+        )
         t_adapted = ascend(
-            SurrogateObjective(model, adapted=True), X0, lo, hi,
+            SurrogateObjective(model), X0, lo, hi,
             SearchConfig(step_size=0.05, steps=40),
         )
-        t_raw = ascend(
-            SurrogateObjective(model, adapted=False), X0, lo, hi,
-            SearchConfig(step_size=0.05 / sigma, steps=40),
-        )
+        t_raw = ascend(raw, X0, lo, hi, SearchConfig(step_size=0.05 / sigma, steps=40))
         assert np.allclose(t_adapted, t_raw, atol=1e-9)
 
 

@@ -1,6 +1,7 @@
 import base64
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,48 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
+def ref_forward_cache(model, X):
+    """Five-array forward pass that keeps each pre-activation beside its ReLU
+    output; the reference for the surrogate's in-place cache."""
+    Z = (X - model.x_mean) / model.x_std
+    A1 = Z @ model.weights[0].T + model.biases[0]
+    H1 = np.maximum(A1, 0.0)
+    A2 = H1 @ model.weights[1].T + model.biases[1]
+    H2 = np.maximum(A2, 0.0)
+    out = H2 @ model.weights[2].T + model.biases[2]
+    return out[:, 0], (Z, A1, H1, A2, H2)
+
+
+def ref_backward(model, cache, up):
+    """Parameter gradients with the ReLU masks taken from the pre-activations."""
+    gw1, gw2, gw3 = [np.empty_like(w) for w in model.weights]
+    gb1, gb2, gb3 = [np.empty_like(b) for b in model.biases]
+    Z, A1, H1, A2, H2 = cache
+    np.matmul(up[None, :], H2, out=gw3)
+    gb3[0] = up.sum()
+    d2 = up[:, None] * model.weights[2][0] * (A2 > 0.0)
+    np.matmul(d2.T, H1, out=gw2)
+    np.sum(d2, axis=0, out=gb2)
+    d1 = (d2 @ model.weights[1]) * (A1 > 0.0)
+    np.matmul(d1.T, Z, out=gw1)
+    np.sum(d1, axis=0, out=gb1)
+    return [gw1, gw2, gw3], [gb1, gb2, gb3]
+
+
+def ref_input_gradient_batch(model, X):
+    _, (_, A1, _, A2, _) = ref_forward_cache(model, X)
+    v2 = model.weights[2][0][None, :] * (A2 > 0.0)
+    v1 = (v2 @ model.weights[1]) * (A1 > 0.0)
+    return (v1 @ model.weights[0]) / model.x_std
+
+
+def min_preactivation_magnitude(model, x):
+    """Smallest |pre-activation| at one design; small values flag
+    kink-adjacent inputs."""
+    _, (_, A1, _, A2, _) = ref_forward_cache(model, np.atleast_2d(x))
+    return float(min(np.abs(A1).min(), np.abs(A2).min()))
+
+
 def make_linear_chain(weight=1.0):
     """1-1-1-1 net computing weight * x for positive activations."""
     return MlpSurrogate(
@@ -130,6 +173,53 @@ class TestForward:
         m.weights[1][0, 0] = 1e308
         with pytest.raises(FloatingPointError, match="layer 2"):
             m.forward_batch(np.array([[1e5]]))
+
+
+class TestForwardCache:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        kinks=st.booleans(),
+    )
+    def test_matches_five_array_reference(self, dim, hidden, n, seed, kinks):
+        rng = np.random.default_rng(seed)
+        m = init_surrogate(dim, hidden, seed=seed)
+        X = rng.normal(scale=3.0, size=(n, dim))
+        if kinks:
+            # zero biases and zero rows put pre-activations exactly at the
+            # ReLU kink, where the masks from H > 0 and A > 0 must agree
+            X[rng.random(n) < 0.5] = 0.0
+        else:
+            for b in m.biases:
+                b += rng.normal(size=b.shape)
+            m.set_input_standardization(rng.normal(size=dim), rng.uniform(0.5, 2.0, size=dim))
+        up = rng.normal(size=n)
+        ref_scores, cache = ref_forward_cache(m, X)
+        ref_grads = ref_backward(m, cache, up)
+        assert np.array_equal(m.forward_batch(X), ref_scores)
+        opt = _Optimizer(m, TrainConfig())
+        _, fused = m.loss_and_grads(X, lambda s: (float(np.dot(up, s)), up), out=opt.grads)
+        for grads in (m.param_gradients(X, up), fused):
+            for a, b in zip(grads[0] + grads[1], ref_grads[0] + ref_grads[1]):
+                assert np.array_equal(a, b)
+        assert np.array_equal(m.input_gradient_batch(X), ref_input_gradient_batch(m, X))
+
+    def test_forward_batch_peak_memory(self):
+        # one cached array per hidden layer peaks at about 2.1 n x hidden
+        # arrays; caching each pre-activation as well takes about 4
+        n, hidden = 4000, 256
+        m = init_surrogate(2, hidden, seed=0)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            m.forward_batch(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * hidden * 8
 
 
 class TestParamGradients:
@@ -346,12 +436,19 @@ class TestInputGradient:
         for trial in range(30):
             m = init_surrogate(3, 8, seed=100 + trial)
             x = rng.normal(size=3)
-            if m.min_preactivation_magnitude(x) < 1e-6:
+            if min_preactivation_magnitude(m, x) < 1e-6:
                 continue
             fd = finite_difference_input_grad(m, x)
             assert max_rel_err(input_grad(m, x), fd) < 1e-4
             checked += 1
         assert checked >= 25
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_activation_raises_with_layer(self):
+        m = make_linear_chain()
+        m.weights[1][0, 0] = 1e308
+        with pytest.raises(FloatingPointError, match="layer"):
+            m.input_gradient_batch(np.array([[1e5]]))
 
     def test_relu_subgradient_zero_at_kink(self):
         # bias places the first pre-activation exactly at 0

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .artifacts import atomic_open
+from .artifacts import write_json
 from .config import ValidationError, apply_profile, load_config, reseed
 from .harness import compare, error_record, run, save_compare_rows, sweep
 from .objectives import save_loss_trace
@@ -180,8 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_json(exc, args.command), file=sys.stderr)
         out = getattr(args, "out", None)
         if out is not None and Path(out).is_dir():
-            with atomic_open(Path(out) / "error.json") as fh:
-                fh.write(_error_json(exc, args.command) + "\n")
+            write_json(Path(out) / "error.json", error_record(exc, args.command))
         return EXIT_RUNTIME
 
 

@@ -8,9 +8,9 @@ Each rule lives with the code that the value feeds: the task section is
 checked by ``tasks`` (``get_task`` and the dataset builder's pool check), the
 objective by ``objectives.get_objective``, the train and search sections by
 the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``),
-the eval pool and the radii by ``diagnostics``.  ``validate`` runs those
-checks the way the harness does and reports their errors under the dotted
-config path.
+the eval pool, the radii and the W1 sample size by ``diagnostics``.
+``validate`` runs those checks the way the harness does and reports their
+errors under the dotted config path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .diagnostics import _check_eval_pool, _check_radii
+from .diagnostics import _check_eval_pool, _check_radii, _check_w1_sample_size
 from .objectives import DarConfig, get_objective
 from .search import SearchConfig
 from .tasks import ValidationError, _check_pool, get_task
@@ -115,14 +115,9 @@ class ExperimentConfig:
         return _runtime_config(self.train, config_cls, seed=self.resolved_seeds()["train"])
 
     def search_config(self) -> SearchConfig:
-        """The runtime search config, without trajectories; raises
-        ValidationError on a bad value."""
-        return _runtime_config(
-            self.search,
-            SearchConfig,
-            seed=self.resolved_seeds()["search"],
-            keep_trajectories=False,
-        )
+        """The runtime search config; raises ValidationError on a bad value."""
+        seed = self.resolved_seeds()["search"]
+        return _runtime_config(self.search, SearchConfig, seed=seed)
 
     def to_dict(self) -> dict:
         out = {}
@@ -205,8 +200,7 @@ def validate(cfg: ExperimentConfig) -> None:
     with _section("diagnostics"):
         _check_eval_pool(d.eval_pool_size, d.eval_near_fraction)
         _check_radii(d.radii)
-        if d.w1_sample_size < 1:
-            raise ValidationError("w1_sample_size", "must be positive")
+        _check_w1_sample_size(d.w1_sample_size)
         if d.mse_rank_audit_trials < 0:
             raise ValidationError("mse_rank_audit_trials", "must be non-negative")
         if d.marginal_audit_trials < 0:

@@ -19,10 +19,8 @@ transport costs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +28,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .artifacts import atomic_open, write_json
-from .objectives import partition_scores
+from .artifacts import write_csv, write_json
+from .objectives import _check_fraction, partition_scores
 from .tasks import OfflineDataset, TaskSpec, ValidationError
 
 __all__ = [
@@ -143,8 +141,14 @@ def _check_eval_pool(size: int, near_fraction: float) -> None:
     near fraction."""
     if size < 2:
         raise ValidationError("eval_pool_size", "must be at least 2")
-    if not 0.0 < near_fraction < 1.0:
-        raise ValidationError("eval_near_fraction", "must lie strictly in (0, 1)")
+    _check_fraction("eval_near_fraction", near_fraction)
+
+
+def _check_w1_sample_size(n: int) -> None:
+    """Raises ValidationError naming ``w1_sample_size`` unless the exact W1
+    solve can take ``n`` points."""
+    if not 1 <= n <= ASSIGNMENT_CAP:
+        raise ValidationError("w1_sample_size", f"must lie in [1, {ASSIGNMENT_CAP}]")
 
 
 def ranking_error(score_fn, near: np.ndarray, sub: np.ndarray) -> float:
@@ -250,6 +254,7 @@ def build_ranking_report(
     side to the data manifold (with the manifold diameter as the calibration
     constant).  One distance query covers the whole pool and each side is
     scored once; the radius rows and the overall error share those scores."""
+    _check_w1_sample_size(w1_sample_size)
     radii = _check_radii(radii)
     manifold = dataset.designs
     dist = manifold_distances(pool.designs, manifold)
@@ -413,27 +418,22 @@ def audit_marginal_decomposition(
 
 
 def save_radius_rows(rows: list[RadiusRow], path: str | Path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "n_restricted", "rank_error"])
-        for row in rows:
-            err = "" if row.error is None else format(row.error, ".17g")
-            writer.writerow([format(row.radius, ".17g"), row.n_restricted, err])
+    write_csv(
+        path,
+        ["d", "n_restricted", "rank_error"],
+        ([row.radius, row.n_restricted, row.error] for row in rows),
+    )
 
 
 def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "lhs", "rhs", "holds"])
-        for trial, rep in enumerate(reports):
-            writer.writerow(
-                [
-                    trial,
-                    format(rep.lhs, ".17g"),
-                    format(rep.rhs, ".17g"),
-                    "" if rep.holds is None else int(rep.holds),
-                ]
-            )
+    write_csv(
+        path,
+        ["trial", "lhs", "rhs", "holds"],
+        (
+            [trial, rep.lhs, rep.rhs, None if rep.holds is None else int(rep.holds)]
+            for trial, rep in enumerate(reports)
+        ),
+    )
 
 
 def report_summary(report: RankingErrorReport) -> dict:

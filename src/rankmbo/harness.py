@@ -4,8 +4,10 @@
 artifacts (dataset.csv, model.json, loss_trace.csv, search.csv, search.json,
 diagnostics.csv, manifest.json) plus one audit CSV per enabled audit.  Given
 the same config the numeric artifacts are byte-identical across runs; only the
-manifest differs (its timings and peak memory).  Every artifact is written
-atomically (``artifacts.atomic_open``).
+manifest differs (its timings and peak memory).  Every artifact, the
+``sweep`` summary and the ``compare`` table included, is written atomically by
+``artifacts.write_csv`` or ``artifacts.write_json``, so all CSV files share one
+cell format.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import atomic_open, write_json
+from .artifacts import write_csv, write_json
 from .config import ExperimentConfig, ValidationError, reseed, set_by_path, validate
 from .diagnostics import (
     audit_marginal_decomposition,
@@ -317,12 +319,7 @@ def sweep(
         "mean_best_normalized",
         "std_best_normalized",
     ]
-    with atomic_open(out / "summary.csv") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join("" if row[k] is None else str(row[k]) for k in header) + "\n"
-            )
+    write_csv(out / "summary.csv", header, ([row[k] for k in header] for row in rows))
     write_json(out / "failures.json", [e for _, _, _, e in outcomes if e is not None])
     return rows
 
@@ -355,7 +352,4 @@ def save_compare_rows(rows: list[dict], path: str | Path) -> None:
     if not rows:
         raise ValueError("nothing to compare")
     header = list(rows[0].keys())
-    with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if row.get(k) is None else str(row.get(k)) for k in header) + "\n")
+    write_csv(path, header, ([row.get(k) for k in header] for row in rows))

@@ -15,14 +15,13 @@ objective names, their runtime config classes and their trainers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import write_csv
 from .surrogate import MlpSurrogate, TrainConfig, _Optimizer, zscore_adapt
 from .tasks import OfflineDataset, ValidationError
 
@@ -80,6 +79,13 @@ class PartitionedDataset:
         return len(self.sub_idx)
 
 
+def _check_fraction(field: str, value: float) -> None:
+    """The near-fraction rule of every partition: raises ValidationError
+    naming ``field`` unless ``value`` lies strictly in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(field, "must lie strictly in (0, 1)")
+
+
 @dataclass
 class RankConfig(TrainConfig):
     margin: float = 0.4
@@ -97,8 +103,7 @@ class DarConfig(RankConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 < self.near_fraction < 1.0:
-            raise ValidationError("near_fraction", "must lie strictly in (0, 1)")
+        _check_fraction("near_fraction", self.near_fraction)
         if not 0.0 <= self.intra_ratio <= 1.0:
             raise ValidationError("intra_ratio", "must lie in [0, 1]")
 
@@ -114,8 +119,7 @@ def partition_scores(scores: np.ndarray, near_fraction: float) -> PartitionedDat
     m = len(scores)
     if m < 2:
         raise ValueError("partition needs at least 2 scores")
-    if not 0.0 < near_fraction < 1.0:
-        raise ValueError("near_fraction must lie strictly between 0 and 1")
+    _check_fraction("near_fraction", near_fraction)
     k = int(math.ceil(near_fraction * m))
     threshold = float(np.sort(scores)[::-1][k - 1])
     near = np.flatnonzero(scores >= threshold)
@@ -394,8 +398,5 @@ def get_objective(name: str):
 
 
 def save_loss_trace(trace: np.ndarray, path: str | Path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for it, loss in enumerate(np.asarray(trace, dtype=float)):
-            writer.writerow([it, format(loss, ".17g")])
+    losses = np.asarray(trace, dtype=float).tolist()
+    write_csv(path, ["iteration", "loss"], enumerate(losses))

@@ -10,13 +10,12 @@ grader.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import write_csv, write_json
 from .surrogate import MlpSurrogate
 from .tasks import OfflineDataset, ValidationError, normalized_score
 from .objectives import PartitionedDataset
@@ -42,7 +41,6 @@ class SearchConfig:
     num_candidates: int = 32
     init_rule: str = "topk"
     seed: int = 0
-    keep_trajectories: bool = True
 
     def __post_init__(self) -> None:
         if self.step_size < 0.0:
@@ -64,7 +62,6 @@ class SearchResult:
     candidates: np.ndarray
     surrogate_scores: np.ndarray
     config: SearchConfig
-    trajectories: np.ndarray | None = None
     true_scores: np.ndarray | None = None
     normalized_scores: np.ndarray | None = None
     best_true: float | None = None
@@ -160,7 +157,6 @@ def propose_candidates(
         candidates=candidates,
         surrogate_scores=objective.value_batch(candidates),
         config=config,
-        trajectories=paths if config.keep_trajectories else None,
     )
 
 
@@ -176,7 +172,7 @@ def score_candidates(result: SearchResult, dataset: OfflineDataset) -> SearchRes
 
 
 def save_search_result(
-    result: SearchResult, csv_path: str | Path, json_path: str | Path | None = None
+    result: SearchResult, csv_path: str | Path, json_path: str | Path
 ) -> None:
     dim = result.candidates.shape[1]
     header = (
@@ -190,25 +186,12 @@ def save_search_result(
     norm_scores = (
         result.normalized_scores if result.normalized_scores is not None else [np.nan] * n
     )
-    with atomic_open(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for cid in range(n):
-            row = (
-                [cid]
-                + [format(v, ".17g") for v in result.init_designs[cid]]
-                + [format(v, ".17g") for v in result.candidates[cid]]
-                + [
-                    format(result.surrogate_scores[cid], ".17g"),
-                    format(true_scores[cid], ".17g"),
-                    format(norm_scores[cid], ".17g"),
-                ]
-            )
-            writer.writerow(row)
-    if json_path is not None:
-        summary = {
-            "best_true": result.best_true,
-            "best_normalized": result.best_normalized,
-            "config": result.config.to_dict(),
-        }
-        write_json(json_path, summary)
+    scores = np.column_stack([result.surrogate_scores, true_scores, norm_scores])
+    values = np.hstack([result.init_designs, result.candidates, scores]).tolist()
+    write_csv(csv_path, header, ([cid] + row for cid, row in enumerate(values)))
+    summary = {
+        "best_true": result.best_true,
+        "best_normalized": result.best_normalized,
+        "config": result.config.to_dict(),
+    }
+    write_json(json_path, summary)

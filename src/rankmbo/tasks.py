@@ -9,7 +9,6 @@ deliberate shift between the training data and the region of the true optima.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import write_csv, write_json
 
 __all__ = [
     "ValidationError",
@@ -271,21 +270,13 @@ def normalized_score(y, dataset: OfflineDataset):
     return (y - lo) / span
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def save_dataset(
     dataset: OfflineDataset, csv_path: str | Path, sidecar_path: str | Path | None = None
 ) -> None:
     """Write the dataset as CSV (x0..x{d-1},y) plus an optional JSON sidecar."""
-    csv_path = Path(csv_path)
-    dim = dataset.task.dim
-    with atomic_open(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dim)] + ["y"])
-        for row, y in zip(dataset.designs, dataset.scores):
-            writer.writerow([_fmt(v) for v in row] + [_fmt(y)])
+    header = [f"x{i}" for i in range(dataset.task.dim)] + ["y"]
+    rows = np.column_stack([dataset.designs, dataset.scores]).tolist()
+    write_csv(csv_path, header, rows)
     if sidecar_path is not None:
         write_json(sidecar_path, dataset_sidecar(dataset))
 

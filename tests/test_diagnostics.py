@@ -294,6 +294,18 @@ class TestRadiusSweep:
             ranking_error_vs_radius(task.evaluate_batch, pool, ds.designs, [2.0, 1.0])
         assert excinfo.value.field == "radii"
 
+    @pytest.mark.parametrize("n", [0, 513])
+    def test_bad_w1_sample_size_names_field(self, n):
+        # 513 points exceed the exact-solve cap even where the pool would
+        # cap the sample below it
+        task, ds, pool = self._setup()
+        with pytest.raises(ValidationError) as excinfo:
+            build_ranking_report(task.evaluate_batch, pool, ds, [1.0], w1_sample_size=n)
+        assert (excinfo.value.field, excinfo.value.message) == (
+            "w1_sample_size",
+            "must lie in [1, 512]",
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.lists(st.integers(0, 10**9), min_size=1, max_size=6))
     def test_counts_match_brute_force(self, seed, picks):

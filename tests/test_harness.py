@@ -1,9 +1,13 @@
+import csv
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankmbo.config import (
     ExperimentConfig,
@@ -15,7 +19,7 @@ from rankmbo.config import (
     reseed,
     set_by_path,
 )
-from rankmbo.artifacts import write_json
+from rankmbo.artifacts import write_csv, write_json
 from rankmbo.diagnostics import RadiusRow, save_radius_rows
 from rankmbo.harness import RUN_ARTIFACTS, compare, run, save_compare_rows, sweep
 
@@ -75,6 +79,7 @@ BAD_VALUES = [
     ("diagnostics.eval_near_fraction", "0.0"),
     ("diagnostics.radii", "2.0, 1.0"),
     ("diagnostics.w1_sample_size", "0"),
+    ("diagnostics.w1_sample_size", "513"),
     ("diagnostics.mse_rank_audit_trials", "-1"),
     ("diagnostics.marginal_audit_trials", "-1"),
 ]
@@ -85,7 +90,15 @@ CLI_BAD_LINES = [
     ("train.objective", "objective = dar", "objective = foo"),
     ("search.num_candidates", "num_candidates = 4", "num_candidates = 0"),
     ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 0"),
+    # above the exact-solve cap, although this eval pool would cap the sample
+    ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 513"),
 ]
+
+
+def read_csv_rows(path):
+    """Rows of a CSV file as ``csv.reader`` parses them."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestConfig:
@@ -283,6 +296,19 @@ class TestSweep:
         assert rows[0]["n_failed"] == 1
         assert rows[0]["mean_best_normalized"] is None
 
+    def test_grid_value_with_comma_keeps_row_width(self, tmp_path):
+        cfg = parse_config(FAST_CFG)
+        # the second cell fails validation, so its score cells are empty
+        sweep(
+            cfg,
+            {"diagnostics.radii": ["0.5,1.0,3.0", "3.0,1.0"]},
+            seeds=[0],
+            out_dir=tmp_path / "sw",
+        )
+        header, *rows = read_csv_rows(tmp_path / "sw" / "summary.csv")
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert [row[0] for row in rows] == ["0.5,1.0,3.0", "3.0,1.0"]
+        assert rows[1][header.index("mean_best_normalized")] == ""
 
     def test_bad_grid_value_fails_its_cell_without_artifacts(self, tmp_path):
         cfg = parse_config(FAST_CFG)
@@ -314,6 +340,8 @@ class TestAtomicWrites:
     WRITERS = {
         # the second row is not a RadiusRow: raises after the header is written
         "csv": lambda path: save_radius_rows([RadiusRow(1.0, 3, 0.5), None], path),
+        # the second row is not a dict: raises after the header is written
+        "compare": lambda path: save_compare_rows([{"run": "a"}, None], path),
         # the second value is not serializable: raises inside json.dump
         "json": lambda path: write_json(path, {"a": 1, "b": object()}),
     }
@@ -331,6 +359,35 @@ class TestAtomicWrites:
             self.WRITERS[kind](tmp_path / "artifact")
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
         assert (tmp_path / "artifact").read_text() == "previous\n"
+
+
+class TestWriteCsv:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.floats(allow_nan=False).map(np.float64),
+                st.none(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_floats_round_trip_and_none_is_empty(self, tmp_path, cells):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["c"] * len(cells), [cells])
+        header, row = read_csv_rows(path)
+        assert len(row) == len(header)
+        for cell, text in zip(cells, row):
+            if cell is None:
+                assert text == ""
+            else:
+                assert struct.pack("<d", float(text)) == struct.pack("<d", cell)
 
 
 class TestCompare:
@@ -355,6 +412,14 @@ class TestCompare:
         save_compare_rows(rows, tmp_path / "cmp.csv")
         header = (tmp_path / "cmp.csv").read_text().splitlines()[0]
         assert header.startswith("run,objective,best_true,best_normalized,overall_rank_error")
+
+    def test_run_dir_with_comma_keeps_row_width(self, tmp_path):
+        run_dir = tmp_path / "a,b"
+        run(parse_config(FAST_CFG), run_dir)
+        save_compare_rows(compare([run_dir]), tmp_path / "cmp.csv")
+        header, row = read_csv_rows(tmp_path / "cmp.csv")
+        assert len(row) == len(header)
+        assert row[0] == str(run_dir)
 
     def test_missing_manifest_names_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing"):

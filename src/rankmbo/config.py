@@ -8,7 +8,8 @@ Each rule lives with the code that the value feeds: the task section is
 checked by ``tasks`` (``get_task`` and the dataset builder's pool check), the
 objective by ``objectives.get_objective``, the train and search sections by
 the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``),
-the eval pool, the radii and the W1 sample size by ``diagnostics``.
+the eval pool, the radii, the W1 sample size and the mse-to-rank audit
+trials by ``diagnostics``.
 ``validate`` runs those checks the way the harness does and reports their
 errors under the dotted config path.
 """
@@ -20,7 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .diagnostics import _check_eval_pool, _check_radii, _check_w1_sample_size
+from .diagnostics import (
+    _check_eval_pool,
+    _check_mse_rank_audit_trials,
+    _check_radii,
+    _check_w1_sample_size,
+)
 from .objectives import DarConfig, get_objective
 from .search import SearchConfig
 from .tasks import ValidationError, _check_pool, get_task
@@ -201,8 +207,7 @@ def validate(cfg: ExperimentConfig) -> None:
         _check_eval_pool(d.eval_pool_size, d.eval_near_fraction)
         _check_radii(d.radii)
         _check_w1_sample_size(d.w1_sample_size)
-        if d.mse_rank_audit_trials < 0:
-            raise ValidationError("mse_rank_audit_trials", "must be non-negative")
+        _check_mse_rank_audit_trials(d.mse_rank_audit_trials)
         if d.marginal_audit_trials < 0:
             raise ValidationError("marginal_audit_trials", "must be non-negative")
 

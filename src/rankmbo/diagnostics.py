@@ -352,6 +352,13 @@ def product_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_mse_rank_audit_trials(trials: int) -> None:
+    """Raises ValidationError naming ``mse_rank_audit_trials`` when the
+    number of ``audit_mse_to_rank`` trials a run makes is negative."""
+    if trials < 0:
+        raise ValidationError("mse_rank_audit_trials", "must be non-negative")
+
+
 def audit_mse_to_rank(
     score_fn,
     near: np.ndarray,

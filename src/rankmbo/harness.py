@@ -28,6 +28,7 @@ from . import __version__
 from .artifacts import write_csv, write_json
 from .config import ExperimentConfig, ValidationError, reseed, set_by_path, validate
 from .diagnostics import (
+    _check_mse_rank_audit_trials,
     audit_marginal_decomposition,
     audit_mse_to_rank,
     build_ranking_report,
@@ -112,6 +113,7 @@ def run_search(cfg: ExperimentConfig, model, dataset):
 
 def run_diagnostics(cfg: ExperimentConfig, model, dataset):
     d = cfg.diagnostics
+    _check_mse_rank_audit_trials(d.mse_rank_audit_trials)
     seed = cfg.resolved_seeds()["diagnostics"]
     pool = make_eval_pool(dataset.task, d.eval_pool_size, d.eval_near_fraction, seed)
     report = build_ranking_report(
@@ -342,14 +344,24 @@ def compare(run_dirs: list[str | Path]) -> list[dict]:
             "overall_rank_error": manifest["diagnostics"]["overall_error"],
         }
         for entry in manifest["diagnostics"]["radius_errors"]:
-            row[f"rank_error@d={entry['d']:g}"] = entry["rank_error"]
+            row[_radius_column(entry["d"])] = entry["rank_error"]
         rows.append(row)
     rows.sort(key=lambda r: -(r["best_normalized"] if r["best_normalized"] is not None else -np.inf))
     return rows
 
 
+def _radius_column(d: float) -> str:
+    """Compare column of radius ``d``: ``{d:g}`` when that text reads back as
+    ``d``, else ``repr(d)``, so distinct radii never share a column."""
+    text = f"{d:g}"
+    return f"rank_error@d={text if float(text) == d else repr(d)}"
+
+
 def save_compare_rows(rows: list[dict], path: str | Path) -> None:
+    """Write the compare table; its header is every row's keys, in the order
+    first seen, so runs with different radii keep all their columns (a row
+    without a column gets an empty cell)."""
     if not rows:
         raise ValueError("nothing to compare")
-    header = list(rows[0].keys())
+    header = list(dict.fromkeys(key for row in rows for key in row))
     write_csv(path, header, ([row.get(k) for k in header] for row in rows))

@@ -1,8 +1,8 @@
 """Projected gradient-ascent design search over a trained surrogate.
 
 Ascent runs in the standardized input space used at training (step sizes then
-have a consistent meaning across tasks); the box constraints are transformed
-into that space and applied as a per-coordinate clamp after every step.
+have a consistent meaning across tasks); after every step ``project_box``
+clamps each coordinate into the raw box.
 Candidates are initialized from the near-optimal subset of the offline
 dataset and scored against the true objective only afterwards, as a held-out
 grader.
@@ -86,11 +86,12 @@ class SurrogateObjective:
 
 
 def project_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Per-coordinate clamp of x into [lower, upper]."""
+    """Per-coordinate clamp of x into [lower, upper]; scalar bounds apply to
+    every coordinate."""
     x = np.asarray(x, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if x.shape[-1] != lower.shape[-1] or lower.shape != upper.shape:
+    if lower.shape[-1:] not in ((), x.shape[-1:]) or lower.shape != upper.shape:
         raise ValueError("inconsistent lengths for x and bounds")
     return np.clip(x, lower, upper)
 
@@ -105,7 +106,7 @@ def ascend(
     describing its training-time input standardization (identity constants for
     exact stand-ins).  The ascent step lives in that standardized space; mapped
     back to raw coordinates it becomes a step along x_std^2 * gradient, with
-    the projection applied directly on the raw box so the bound satisfaction
+    ``project_box`` applied directly on the raw box so the bound satisfaction
     is exact.  The step size is fixed; no schedule.
     """
     X = np.atleast_2d(np.asarray(X0, dtype=float))
@@ -117,7 +118,7 @@ def ascend(
         g = np.asarray(objective.gradient_batch(X), dtype=float)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite search gradient at step {t}")
-        X = np.clip(X + step_scale * g, lower, upper)
+        X = project_box(X + step_scale * g, lower, upper)
         path[:, t + 1] = X
     return path
 

@@ -17,12 +17,16 @@ peaks at about two n x hidden float64 arrays.
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
 its upstream gradients through the cached activations, writing them straight
-into views of the optimizer's flat gradient buffer.  The optimizer keeps
-Adam's moments as flat buffers too and runs its update over fixed
-cache-sized blocks of them, then subtracts the update from the model's arrays
-in place.  At paper width (4.2M parameters) a step therefore allocates no
-parameter-sized array, and the arithmetic, operation for operation, is that
-of the plain whole-buffer expression, so results are bit-identical to it.
+into views of the optimizer's flat gradient buffer.  The backward pass runs
+on the rows with nonzero upstream gradient only: a margin-loss pair past the
+margin has exactly zero gradient, and most pairs are past it after the first
+iterations.  When every row is active, as in every mse step, the cached
+arrays are used as they are.  The optimizer keeps Adam's moments as flat
+buffers too and runs its update over fixed cache-sized blocks of them, then
+subtracts the update from the model's arrays in place.  At paper width (4.2M
+parameters) a step therefore allocates no parameter-sized array, and the
+arithmetic, operation for operation, is that of the plain whole-buffer
+expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -220,6 +224,11 @@ class MlpSurrogate:
             )
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, H1, H2 = cache
+        # a row with zero upstream gradient adds exactly zero to every sum
+        # below, so only the active rows are backpropagated
+        rows = np.flatnonzero(up)
+        if len(rows) < len(up):
+            up, Z, H1, H2 = up[rows], Z[rows], H1[rows], H2[rows]
         np.matmul(up[None, :], H2, out=gw3)
         gb3[0] = up.sum()
         d2 = up[:, None] * self.weights[2][0] * (H2 > 0.0)

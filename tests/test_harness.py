@@ -21,7 +21,16 @@ from rankmbo.config import (
 )
 from rankmbo.artifacts import write_csv, write_json
 from rankmbo.diagnostics import RadiusRow, save_radius_rows
-from rankmbo.harness import RUN_ARTIFACTS, compare, run, save_compare_rows, sweep
+from rankmbo.harness import (
+    RUN_ARTIFACTS,
+    build_dataset,
+    compare,
+    run,
+    run_diagnostics,
+    save_compare_rows,
+    sweep,
+    train_model,
+)
 
 FAST_CFG = """
 [task]
@@ -255,6 +264,18 @@ class TestRun:
         assert audits["mse_rank"]["trials"] == 3
         assert audits["marginal"]["violations"] == 0
 
+    def test_run_diagnostics_rejects_negative_audit_trials(self):
+        cfg = parse_config(FAST_CFG)
+        _, dataset = build_dataset(cfg)
+        model, _ = train_model(cfg, dataset)
+        cfg.diagnostics.mse_rank_audit_trials = -1
+        with pytest.raises(ValidationError) as excinfo:
+            run_diagnostics(cfg, model, dataset)
+        assert (excinfo.value.field, excinfo.value.message) == (
+            "mse_rank_audit_trials",
+            "must be non-negative",
+        )
+
 
 class TestSweep:
     def test_single_cell_matches_run(self, tmp_path):
@@ -420,6 +441,41 @@ class TestCompare:
         header, row = read_csv_rows(tmp_path / "cmp.csv")
         assert len(row) == len(header)
         assert row[0] == str(run_dir)
+
+    def test_runs_with_different_radii_keep_every_column(self, tmp_path):
+        radii = {"dar": "0.5, 1.0, 3.0", "mse": "0.25, 2.0"}
+        manifests = {}
+        for objective, text in radii.items():
+            cfg = parse_config(FAST_CFG.replace("radii = 0.5, 1.0, 3.0", f"radii = {text}"))
+            cfg.train.objective = objective
+            manifests[objective] = run(cfg, tmp_path / objective)
+        save_compare_rows(compare([tmp_path / "dar", tmp_path / "mse"]), tmp_path / "cmp.csv")
+        header, *rows = read_csv_rows(tmp_path / "cmp.csv")
+        columns = {f"rank_error@d={d}" for d in ("0.25", "0.5", "1", "2", "3")}
+        assert columns <= set(header)
+        for row in rows:
+            assert len(row) == len(header)
+            cells = dict(zip(header, row))
+            errors = manifests[cells["objective"]]["diagnostics"]["radius_errors"]
+            expected = {f"rank_error@d={e['d']:g}": e["rank_error"] for e in errors}
+            for column in columns:
+                value = expected.get(column)
+                assert cells[column] == ("" if value is None else format(value, ".17g"))
+
+    def test_radii_equal_to_six_digits_get_separate_columns(self, tmp_path):
+        cfg = parse_config(
+            FAST_CFG.replace("radii = 0.5, 1.0, 3.0", "radii = 1.0000001, 1.0000002, 3.0")
+        )
+        manifest = run(cfg, tmp_path / "a")
+        (row,) = compare([tmp_path / "a"])
+        columns = [key for key in row if key.startswith("rank_error@d=")]
+        assert columns == [
+            "rank_error@d=1.0000001",
+            "rank_error@d=1.0000002",
+            "rank_error@d=3",
+        ]
+        errors = manifest["diagnostics"]["radius_errors"]
+        assert [row[c] for c in columns] == [e["rank_error"] for e in errors]
 
     def test_missing_manifest_names_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing"):

@@ -139,6 +139,18 @@ class TestAscend:
         assert np.all(traj >= -1.0) and np.all(traj <= 1.0)
         assert np.allclose(traj[-1], [1.0, 1.0])
 
+    def test_clamp_is_project_box(self):
+        # bounds of the wrong length reach project_box's own check
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            ascend(ExactBowl([0.0, 0.0]), np.zeros((1, 2)), np.zeros(3), np.ones(3), SearchConfig(steps=1))
+
+    def test_scalar_bounds_match_array_bounds(self):
+        obj = ExactBowl([10.0, -10.0])
+        X0 = np.array([[0.5, 0.0], [-0.5, 0.9]])
+        cfg = SearchConfig(step_size=0.2, steps=20)
+        paths = ascend(obj, X0, -1.0, 1.0, cfg)
+        assert np.array_equal(paths, ascend(obj, X0, np.full(2, -1.0), np.full(2, 1.0), cfg))
+
     def test_nonfinite_gradient_reports_step(self):
         class Bad(ZeroGradient):
             def gradient_batch(self, X):

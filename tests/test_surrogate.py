@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rankmbo.objectives import margin_rank_loss_grad
 from rankmbo.surrogate import (
     MlpSurrogate,
     TrainConfig,
@@ -81,7 +82,8 @@ def ref_forward_cache(model, X):
 
 
 def ref_backward(model, cache, up):
-    """Parameter gradients with the ReLU masks taken from the pre-activations."""
+    """Parameter gradients over every row of the cache, active or not, with
+    the ReLU masks taken from the pre-activations."""
     gw1, gw2, gw3 = [np.empty_like(w) for w in model.weights]
     gb1, gb2, gb3 = [np.empty_like(b) for b in model.biases]
     Z, A1, H1, A2, H2 = cache
@@ -94,6 +96,24 @@ def ref_backward(model, cache, up):
     np.matmul(d1.T, Z, out=gw1)
     np.sum(d1, axis=0, out=gb1)
     return [gw1, gw2, gw3], [gb1, gb2, gb3]
+
+
+def random_model(dim, hidden, seed):
+    """A surrogate with nonzero biases and input standardization."""
+    rng = np.random.default_rng(seed)
+    m = init_surrogate(dim, hidden, seed=seed)
+    for b in m.biases:
+        b += rng.normal(size=b.shape)
+    m.set_input_standardization(rng.normal(size=dim), rng.uniform(0.5, 2.0, size=dim))
+    return m
+
+
+def pair_upstream(scores, margin):
+    """The pairwise trainers' upstream gradient for pairs (row i, row k + i):
+    zero for every pair past the margin, -0.0 on its preferred row."""
+    k = len(scores) // 2
+    g_pref, g_other = margin_rank_loss_grad(scores[:k], scores[k:], margin)
+    return np.concatenate([g_pref, g_other]) / k
 
 
 def ref_input_gradient_batch(model, X):
@@ -324,6 +344,83 @@ class TestLossAndGrads:
         m = init_surrogate(2, 4, seed=0)
         with pytest.raises(ValueError):
             m.loss_and_grads(np.zeros((3, 2)), lambda s: (0.0, np.zeros(2)))
+
+
+class TestActiveRowBackward:
+    """The backward pass skips rows whose upstream gradient is exactly zero."""
+
+    @staticmethod
+    def all_grads(m, X, up):
+        """The gradients of ``param_gradients``, of ``loss_and_grads`` and of
+        ``loss_and_grads`` into the optimizer's views, each as one flat list."""
+
+        def loss_fn(scores):
+            return float(np.dot(up, scores)), up
+
+        _, fused = m.loss_and_grads(X, loss_fn)
+        _, views = m.loss_and_grads(X, loss_fn, out=_Optimizer(m, TrainConfig()).grads)
+        return [g[0] + g[1] for g in (m.param_gradients(X, up), fused, views)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_all_active_is_bit_identical_to_dense(self, dim, hidden, n, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(dim, hidden, seed)
+        X = rng.normal(scale=3.0, size=(n, dim))
+        up = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.01, 2.0, size=n)
+        ref_w, ref_b = ref_backward(m, ref_forward_cache(m, X)[1], up)
+        for grads in self.all_grads(m, X, up):
+            for a, b in zip(grads, ref_w + ref_b):
+                assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        quantile=st.floats(0.0, 1.0),
+    )
+    def test_mixed_batch_matches_dense(self, dim, hidden, k, seed, quantile):
+        rng = np.random.default_rng(seed)
+        m = random_model(dim, hidden, seed)
+        X = rng.normal(scale=3.0, size=(2 * k, dim))
+        scores, cache = ref_forward_cache(m, X)
+        # a margin inside the range of the score gaps leaves some pairs past it
+        margin = float(np.quantile(scores[:k] - scores[k:], quantile))
+        up = pair_upstream(scores, margin)
+        active = up != 0.0  # -0.0 == 0.0, so an inactive preferred row is out
+        ref_w, ref_b = ref_backward(m, cache, up)
+        gathered_w, gathered_b = ref_backward(m, [a[active] for a in cache], up[active])
+        for grads in self.all_grads(m, X, up):
+            for a, b, g in zip(grads, ref_w + ref_b, gathered_w + gathered_b):
+                assert max_rel_err(a, b) < 1e-12
+                assert np.array_equal(a, g)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_upstream_gives_exact_zeros(self, zero):
+        m = random_model(3, 5, seed=4)
+        X = np.random.default_rng(4).normal(size=(6, 3))
+        up = np.full(6, zero)
+        for grads in self.all_grads(m, X, up):
+            for g in grads:
+                # +0.0 everywhere: no row is backpropagated
+                assert np.all(g == 0.0) and not np.any(np.signbit(g))
+
+    def test_mixed_upstream_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        m = random_model(3, 6, seed=11)
+        X = rng.normal(size=(5, 3))
+        upstream = np.array([0.7, 0.0, -1.3, -0.0, 0.4])
+        gw, gb = m.param_gradients(X, upstream)
+        fw, fb = finite_difference_param_grads(m, X, upstream)
+        for a, b in zip(gw + gb, fw + fb):
+            assert max_rel_err(a, b) < 1e-4
 
 
 class _PerLayerOptimizer:

@@ -67,10 +67,6 @@ def _load(args):
     return cfg
 
 
-def _error_json(exc: Exception, stage: str) -> str:
-    return json.dumps(error_record(exc, stage))
-
-
 def _cmd_gen_data(args) -> int:
     from .harness import build_dataset
 
@@ -173,14 +169,14 @@ def main(argv: list[str] | None = None) -> int:
     command = _COMMANDS[args.command]
     try:
         return command(args)
-    except ValidationError as exc:
-        print(_error_json(exc, args.command), file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
-        print(_error_json(exc, args.command), file=sys.stderr)
+        record = error_record(exc, args.command)
+        print(json.dumps(record), file=sys.stderr)
+        if isinstance(exc, ValidationError):
+            return EXIT_VALIDATION
         out = getattr(args, "out", None)
         if out is not None and Path(out).is_dir():
-            write_json(Path(out) / "error.json", error_record(exc, args.command))
+            write_json(Path(out) / "error.json", record)
         return EXIT_RUNTIME
 
 

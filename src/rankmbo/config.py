@@ -4,21 +4,18 @@ A config file has four sections (task, train, search, diagnostics); every key
 is optional and falls back to the desk-scale default.  Per-stage seeds default
 to fixed offsets from the task seed so one base seed pins the whole pipeline.
 
-Each rule lives with the code that the value feeds: the task section is
-checked by ``tasks`` (``get_task`` and the dataset builder's pool check), the
-objective by ``objectives.get_objective``, the train and search sections by
-the runtime configs (``TrainConfig`` and its subclasses, ``SearchConfig``),
-the eval pool, the radii, the W1 sample size and the mse-to-rank audit
-trials by ``diagnostics``.
-``validate`` runs those checks the way the harness does and reports their
-errors under the dotted config path.
+Each section is a dataclass that checks its own values with the rules of the
+code they feed: the train section is a ``DarConfig`` plus the objective and
+hidden-width rules, the search section is a ``SearchConfig``, the task section
+runs ``tasks``' checks and the diagnostics section ``diagnostics``' checks.
+``validate`` rebuilds every section, so a key set by path is checked too, and
+reports an error under the dotted config path.
 """
 
 from __future__ import annotations
 
 import configparser
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .diagnostics import (
@@ -35,7 +32,6 @@ __all__ = [
     "ValidationError",
     "TaskBlock",
     "TrainBlock",
-    "SearchBlock",
     "DiagnosticsBlock",
     "ExperimentConfig",
     "parse_config",
@@ -64,30 +60,26 @@ class TaskBlock:
     noise_std: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        get_task(self.name)
+        _check_pool(self.pool_size, self.keep_fraction, self.noise_std)
+
 
 @dataclass
-class TrainBlock:
+class TrainBlock(DarConfig):
+    # DarConfig is the widest train config; its near_fraction also splits the
+    # dataset for search.  The desk batch size and learning rate are larger.
     objective: str = "dar"
     hidden: int = 64
-    iterations: int = 5000
+    seed: int | None = None
     batch_size: int = 256
     learning_rate: float = 3e-4
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
-    weight_init_scale: float = 1.0
-    margin: float = 0.4
-    near_fraction: float = 0.2
-    intra_ratio: float = 0.1
-    seed: int | None = None
 
-
-@dataclass
-class SearchBlock:
-    step_size: float = 0.05
-    steps: int = 200
-    num_candidates: int = 32
-    init_rule: str = "topk"
-    seed: int | None = None
+    def __post_init__(self) -> None:
+        get_objective(self.objective)
+        if self.hidden < 1:
+            raise ValidationError("hidden", "must be positive")
+        super().__post_init__()
 
 
 @dataclass
@@ -100,12 +92,20 @@ class DiagnosticsBlock:
     marginal_audit_trials: int = 0
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        _check_eval_pool(self.eval_pool_size, self.eval_near_fraction)
+        _check_radii(self.radii)
+        _check_w1_sample_size(self.w1_sample_size)
+        _check_mse_rank_audit_trials(self.mse_rank_audit_trials)
+        if self.marginal_audit_trials < 0:
+            raise ValidationError("marginal_audit_trials", "must be non-negative")
+
 
 @dataclass
 class ExperimentConfig:
     task: TaskBlock = field(default_factory=TaskBlock)
     train: TrainBlock = field(default_factory=TrainBlock)
-    search: SearchBlock = field(default_factory=SearchBlock)
+    search: SearchConfig = field(default_factory=lambda: SearchConfig(seed=None))
     diagnostics: DiagnosticsBlock = field(default_factory=DiagnosticsBlock)
 
     def resolved_seeds(self) -> dict[str, int]:
@@ -118,33 +118,24 @@ class ExperimentConfig:
     def train_config(self, config_cls):
         """The runtime config ``config_cls`` built from the train section and
         the resolved train seed; raises ValidationError on a bad value."""
-        return _runtime_config(self.train, config_cls, seed=self.resolved_seeds()["train"])
+        values = {key: getattr(self.train, key) for key in _keys(config_cls)}
+        return config_cls(**{**values, "seed": self.resolved_seeds()["train"]})
 
     def search_config(self) -> SearchConfig:
-        """The runtime search config; raises ValidationError on a bad value."""
-        seed = self.resolved_seeds()["search"]
-        return _runtime_config(self.search, SearchConfig, seed=seed)
+        """The search section with the resolved seed; raises ValidationError."""
+        return replace(self.search, seed=self.resolved_seeds()["search"])
 
     def to_dict(self) -> dict:
         out = {}
         for section in SECTIONS:
             block = getattr(self, section)
-            out[section] = {
-                f.name: _plain(getattr(block, f.name)) for f in fields(block)
-            }
+            out[section] = {key: getattr(block, key) for key in _keys(block)}
         return out
 
 
-def _runtime_config(block, config_cls, **overrides):
-    names = {f.name for f in fields(config_cls)}
-    values = {f.name: getattr(block, f.name) for f in fields(block) if f.name in names}
-    return config_cls(**{**values, **overrides})
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+def _keys(block) -> list[str]:
+    """A section's file keys: its constructor fields, not Adam's constants."""
+    return [f.name for f in fields(block) if f.init]
 
 
 def _convert(section: str, key: str, raw: str, template) -> object:
@@ -155,15 +146,11 @@ def _convert(section: str, key: str, raw: str, template) -> object:
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
             raise ValidationError(name, f"cannot parse radii list from {raw!r}")
-    target = type(template) if template is not None else None
+    target = int if template is None else type(template)  # only seeds are unset
     try:
-        if target is int or (template is None and key == "seed"):
-            return int(raw)
-        if target is float:
-            return float(raw)
-        return raw
+        return target(raw) if target in (int, float) else raw
     except ValueError:
-        raise ValidationError(name, f"cannot parse {raw!r} as {getattr(target, '__name__', 'int')}")
+        raise ValidationError(name, f"cannot parse {raw!r} as {target.__name__}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -187,38 +174,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    t = cfg.task
-    with _section("task"):
-        get_task(t.name)
-        _check_pool(t.pool_size, t.keep_fraction, t.noise_std)
-
-    with _section("train"):
-        get_objective(cfg.train.objective)
-        if cfg.train.hidden < 1:
-            raise ValidationError("hidden", "must be positive")
-        # DarConfig is the widest train config; its near_fraction also splits
-        # the dataset for search, whatever the objective
-        cfg.train_config(DarConfig)
-    with _section("search"):
-        cfg.search_config()
-
-    d = cfg.diagnostics
-    with _section("diagnostics"):
-        _check_eval_pool(d.eval_pool_size, d.eval_near_fraction)
-        _check_radii(d.radii)
-        _check_w1_sample_size(d.w1_sample_size)
-        _check_mse_rank_audit_trials(d.mse_rank_audit_trials)
-        if d.marginal_audit_trials < 0:
-            raise ValidationError("marginal_audit_trials", "must be non-negative")
-
-
-@contextmanager
-def _section(name: str):
-    """Re-raise a ValidationError of section ``name`` under ``name.<key>``."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{name}.{exc.field}", exc.message) from None
+    """Rebuild every section, which runs its checks; an error is reported
+    under the dotted config path."""
+    for name in SECTIONS:
+        try:
+            replace(getattr(cfg, name))
+        except ValidationError as exc:
+            raise ValidationError(f"{name}.{exc.field}", exc.message) from None
 
 
 def apply_profile(cfg: ExperimentConfig, profile: str | None) -> ExperimentConfig:
@@ -247,7 +209,7 @@ def set_by_path(cfg: ExperimentConfig, path: str, value) -> None:
     if section not in SECTIONS:
         raise ValidationError(path, "unknown section")
     block = getattr(cfg, section)
-    if key not in {f.name for f in fields(block)}:
+    if key not in _keys(block):
         raise ValidationError(path, "unknown key")
     if isinstance(value, str):
         value = _convert(section, key, value, getattr(block, key))

@@ -20,6 +20,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from . import __version__
 from .artifacts import write_csv, write_json
 from .config import ExperimentConfig, ValidationError, reseed, set_by_path, validate
 from .diagnostics import (
-    _check_mse_rank_audit_trials,
     audit_marginal_decomposition,
     audit_mse_to_rank,
     build_ranking_report,
@@ -112,8 +112,7 @@ def run_search(cfg: ExperimentConfig, model, dataset):
 
 
 def run_diagnostics(cfg: ExperimentConfig, model, dataset):
-    d = cfg.diagnostics
-    _check_mse_rank_audit_trials(d.mse_rank_audit_trials)
+    d = replace(cfg.diagnostics)  # the rebuild runs every diagnostics rule
     seed = cfg.resolved_seeds()["diagnostics"]
     pool = make_eval_pool(dataset.task, d.eval_pool_size, d.eval_near_fraction, seed)
     report = build_ranking_report(
@@ -350,18 +349,25 @@ def compare(run_dirs: list[str | Path]) -> list[dict]:
     return rows
 
 
+_RADIUS_PREFIX = "rank_error@d="
+
+
 def _radius_column(d: float) -> str:
     """Compare column of radius ``d``: ``{d:g}`` when that text reads back as
     ``d``, else ``repr(d)``, so distinct radii never share a column."""
     text = f"{d:g}"
-    return f"rank_error@d={text if float(text) == d else repr(d)}"
+    return _RADIUS_PREFIX + (text if float(text) == d else repr(d))
 
 
 def save_compare_rows(rows: list[dict], path: str | Path) -> None:
-    """Write the compare table; its header is every row's keys, in the order
-    first seen, so runs with different radii keep all their columns (a row
-    without a column gets an empty cell)."""
+    """Write the compare table; its header is every row's fixed keys, then
+    every radius column of any row in ascending radius, so runs with
+    different radii keep all their columns (a row without a column gets an
+    empty cell)."""
     if not rows:
         raise ValueError("nothing to compare")
-    header = list(dict.fromkeys(key for row in rows for key in row))
+    keys = dict.fromkeys(key for row in rows for key in row)
+    radii = [key for key in keys if key.startswith(_RADIUS_PREFIX)]
+    radii.sort(key=lambda key: float(key[len(_RADIUS_PREFIX):]))
+    header = [key for key in keys if key not in radii] + radii
     write_csv(path, header, ([row.get(k) for k in header] for row in rows))

@@ -176,7 +176,7 @@ def _require_ranked_pair(
     scores: np.ndarray, message: str = "no two scores are strictly ordered"
 ) -> None:
     """Raise unless two scores are strictly ordered (NaN counts as unordered);
-    without such a pair the samplers' tie redraws would never end."""
+    without such a pair there is nothing to draw."""
     if not (len(scores) > 0 and scores.max() > scores.min()):
         raise ValueError(message)
 
@@ -197,7 +197,8 @@ def sample_ranked_pairs(
     """Uniform draws from all index pairs (i, j) with scores[i] > scores[j].
 
     Draws unordered candidate pairs with replacement and orients each by score;
-    tied candidates are redrawn, which leaves the distribution uniform over the
+    tied candidates are redrawn, a bounded number of times and then directly
+    from the ranked pairs, which leaves the distribution uniform over the
     strictly ranked pairs.  Raises ValueError, before drawing, when no two
     scores are strictly ordered.
     """
@@ -206,23 +207,49 @@ def sample_ranked_pairs(
     return _draw_ranked(rng, scores, count)
 
 
+# with distinct scores only i == j candidates tie, and a round or two clears them
+_TIE_ROUNDS = 8
+
+
 def _draw_ranked(
     rng: np.random.Generator, scores: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pref, other) indices into ``scores``: ``count`` uniform candidate
-    pairs, tied ones redrawn until none is left, each oriented by score.
+    pairs, tied ones redrawn for up to ``_TIE_ROUNDS`` rounds, each oriented by
+    score; candidates still tied then come from ``_draw_ranked_direct``.
     The caller has checked that a strictly ranked pair exists."""
     m = len(scores)
     i = rng.integers(0, m, size=count)
     j = rng.integers(0, m, size=count)
     tied = scores[i] == scores[j]
-    while tied.any():
+    for _ in range(_TIE_ROUNDS):
+        if not tied.any():
+            break
         n_bad = int(tied.sum())
         i[tied] = rng.integers(0, m, size=n_bad)
         j[tied] = rng.integers(0, m, size=n_bad)
         tied = scores[i] == scores[j]
     swap = scores[j] > scores[i]
-    return np.where(swap, j, i), np.where(swap, i, j)
+    pref, other = np.where(swap, j, i), np.where(swap, i, j)
+    if tied.any():
+        pref[tied], other[tied] = _draw_ranked_direct(rng, scores, int(tied.sum()))
+    return pref, other
+
+
+def _draw_ranked_direct(
+    rng: np.random.Generator, scores: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform draws from the T strictly ranked (pref, other) pairs.
+    With the scores sorted and ``ends`` the running sum of each position's
+    number of lower scores, u in [0, T) picks the position p with
+    ``ends[p-1] <= u < ends[p]`` and its (u - ends[p-1])-th lower position."""
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    below = np.searchsorted(ranked, ranked, side="left")
+    ends = np.cumsum(below)
+    u = rng.integers(0, ends[-1], size=count)
+    p = np.searchsorted(ends, u, side="right")
+    return order[p], order[u - ends[p] + below[p]]
 
 
 def sample_dar_pairs(
@@ -272,6 +299,8 @@ def _descend(
     ``next_batch(rng) -> (inputs, loss_fn)`` draws an iteration's batch; see
     ``MlpSurrogate.loss_and_grads`` for ``loss_fn``.  Returns the loss trace.
     """
+    if config.seed is None:  # the [train] section itself; train_config() resolves it
+        raise ValidationError("seed", "must be set for reproducible training")
     _standardize_inputs(model, dataset.designs)
     rng = np.random.default_rng(config.seed)
     opt = _Optimizer(model, config)

@@ -137,6 +137,8 @@ def propose_candidates(
     """
     if part.n_near < 1:
         raise ValueError("empty near set")
+    if config.seed is None:  # the [search] section itself; search_config() resolves it
+        raise ValidationError("seed", "must be set for a reproducible search")
     rng = np.random.default_rng(config.seed)
     y = dataset.scores
     k = config.num_candidates

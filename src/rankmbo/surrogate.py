@@ -47,7 +47,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +75,10 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    # constants, not options; fields so that ``to_dict`` echoes them
+    adam_beta1: float = field(default=0.9, init=False)
+    adam_beta2: float = field(default=0.999, init=False)
+    adam_eps: float = field(default=1e-8, init=False)
     weight_decay: float = 0.0
     weight_init_scale: float = 1.0
     seed: int = 0
@@ -95,7 +96,7 @@ class TrainConfig:
             raise ValidationError("weight_decay", "must be non-negative")
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 class MlpSurrogate:
@@ -109,8 +110,9 @@ class MlpSurrogate:
     ):
         if len(weights) != 3 or len(biases) != 3:
             raise ValueError("expected exactly three linear layers")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        # copies: the optimizer updates these arrays in place
+        self.weights = [np.array(w, dtype=float) for w in weights]
+        self.biases = [np.array(b, dtype=float) for b in biases]
         for w, b in zip(self.weights, self.biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError("weight/bias shapes inconsistent")
@@ -321,7 +323,8 @@ def _encode_array(a: np.ndarray) -> str:
 
 
 def _decode_arrays(data: dict, key: str, shapes: list[tuple]) -> list[np.ndarray]:
-    """Owned, writable float64 arrays of ``shapes`` from ``data[key]``."""
+    """Read-only float64 views of ``shapes`` over the bytes of ``data[key]``;
+    the model constructor copies them."""
     entries = data[key]
     if not isinstance(entries, list) or len(entries) != len(shapes):
         raise ValueError(f"{key}: expected a list of {len(shapes)} base64 strings")
@@ -343,8 +346,7 @@ def _decode_arrays(data: dict, key: str, shapes: list[tuple]) -> list[np.ndarray
                 f"{name}: {len(raw)} bytes, but layer_sizes give shape {shape} "
                 f"({expected} bytes)"
             )
-        # astype copies, so the array owns its memory and can be updated in place
-        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape))
     return arrays
 
 

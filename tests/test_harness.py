@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rankmbo.config import (
     set_by_path,
 )
 from rankmbo.artifacts import write_csv, write_json
+from rankmbo.cli import main
 from rankmbo.diagnostics import RadiusRow, save_radius_rows
 from rankmbo.harness import (
     RUN_ARTIFACTS,
@@ -31,6 +33,9 @@ from rankmbo.harness import (
     sweep,
     train_model,
 )
+from rankmbo.objectives import partition, train_dar
+from rankmbo.search import propose_candidates
+from rankmbo.surrogate import TrainConfig, init_surrogate
 
 FAST_CFG = """
 [task]
@@ -102,6 +107,22 @@ CLI_BAD_LINES = [
     # above the exact-solve cap, although this eval pool would cap the sample
     ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 513"),
 ]
+
+
+# every key a config file may set, per section and in manifest order
+FILE_KEYS = {
+    "task": ["name", "pool_size", "keep_fraction", "noise_std", "seed"],
+    "train": [
+        "iterations", "batch_size", "learning_rate", "optimizer", "weight_decay",
+        "weight_init_scale", "seed", "margin", "near_fraction", "intra_ratio",
+        "objective", "hidden",
+    ],
+    "search": ["step_size", "steps", "num_candidates", "init_rule", "seed"],
+    "diagnostics": [
+        "eval_pool_size", "eval_near_fraction", "radii", "w1_sample_size",
+        "mse_rank_audit_trials", "marginal_audit_trials", "seed",
+    ],
+}
 
 
 def read_csv_rows(path):
@@ -195,6 +216,31 @@ class TestConfig:
         with pytest.raises(ValidationError):
             set_by_path(cfg, "train.nope", 1)
 
+    def test_file_schema(self):
+        cfg = ExperimentConfig()
+        assert sum(len(keys) for keys in FILE_KEYS.values()) == 29
+        assert {section: list(keys) for section, keys in cfg.to_dict().items()} == FILE_KEYS
+        for section, keys in FILE_KEYS.items():
+            block = getattr(cfg, section)
+            for key in keys:
+                set_by_path(cfg, f"{section}.{key}", getattr(block, key))
+            for name in {f.name for f in fields(block)} - set(keys):
+                with pytest.raises(ValidationError, match="unknown key"):
+                    set_by_path(cfg, f"{section}.{name}", getattr(block, name))
+        with pytest.raises(ValidationError, match="unknown key") as excinfo:
+            parse_config("[train]\nadam_beta1 = 0.5\n")
+        assert excinfo.value.field == "train.adam_beta1"
+
+    def test_model_json_echoes_adam_constants_in_order(self):
+        echo = TrainConfig().to_dict()
+        assert list(echo) == [
+            "iterations", "batch_size", "learning_rate", "optimizer", "adam_beta1",
+            "adam_beta2", "adam_eps", "weight_decay", "weight_init_scale", "seed",
+        ]
+        assert (echo["adam_beta1"], echo["adam_beta2"], echo["adam_eps"]) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            TrainConfig(adam_beta1=0.5)
+
     def test_presets_ship_and_validate(self):
         for name in ("branin_dar_desk", "branin_mse_desk", "branin_rank_global_desk"):
             cfg = load_config(preset_path(name))
@@ -264,17 +310,28 @@ class TestRun:
         assert audits["mse_rank"]["trials"] == 3
         assert audits["marginal"]["violations"] == 0
 
-    def test_run_diagnostics_rejects_negative_audit_trials(self):
+    @pytest.mark.parametrize("key", ["mse_rank_audit_trials", "marginal_audit_trials"])
+    def test_run_diagnostics_rejects_negative_audit_trials(self, key):
         cfg = parse_config(FAST_CFG)
         _, dataset = build_dataset(cfg)
         model, _ = train_model(cfg, dataset)
-        cfg.diagnostics.mse_rank_audit_trials = -1
+        setattr(cfg.diagnostics, key, -1)
         with pytest.raises(ValidationError) as excinfo:
             run_diagnostics(cfg, model, dataset)
-        assert (excinfo.value.field, excinfo.value.message) == (
-            "mse_rank_audit_trials",
-            "must be non-negative",
-        )
+        assert (excinfo.value.field, excinfo.value.message) == (key, "must be non-negative")
+
+
+    def test_sections_with_unset_seeds_are_refused_at_run_time(self):
+        cfg = parse_config(FAST_CFG)
+        _, dataset = build_dataset(cfg)
+        model = init_surrogate(dataset.task.dim, 8, seed=1)
+        with pytest.raises(ValidationError, match="must be set") as excinfo:
+            train_dar(model, dataset, cfg.train)
+        assert excinfo.value.field == "seed"
+        part = partition(dataset, cfg.train.near_fraction)
+        with pytest.raises(ValidationError, match="must be set") as excinfo:
+            propose_candidates(model, dataset, part, cfg.search)
+        assert excinfo.value.field == "seed"
 
 
 class TestSweep:
@@ -451,8 +508,11 @@ class TestCompare:
             manifests[objective] = run(cfg, tmp_path / objective)
         save_compare_rows(compare([tmp_path / "dar", tmp_path / "mse"]), tmp_path / "cmp.csv")
         header, *rows = read_csv_rows(tmp_path / "cmp.csv")
-        columns = {f"rank_error@d={d}" for d in ("0.25", "0.5", "1", "2", "3")}
-        assert columns <= set(header)
+        # radius columns ascend, whichever run scored best
+        columns = [f"rank_error@d={d}" for d in ("0.25", "0.5", "1", "2", "3")]
+        assert header == [
+            "run", "objective", "best_true", "best_normalized", "overall_rank_error", *columns
+        ]
         for row in rows:
             assert len(row) == len(header)
             cells = dict(zip(header, row))
@@ -585,3 +645,41 @@ class TestCli:
     def test_compare_cli_missing_manifest(self, tmp_path):
         proc = self._cli("compare", str(tmp_path / "ghost"), "--out", str(tmp_path / "c.csv"))
         assert proc.returncode == 2
+
+
+class TestCliMain:
+    """``cli.main`` in this process, for the paths the subprocess tests reach
+    only from a child interpreter."""
+
+    AUDIT_CFG = FAST_CFG + "mse_rank_audit_trials = 2\nmarginal_audit_trials = 2\n"
+
+    def test_diagnose_writes_the_audit_csvs_of_run(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(self.AUDIT_CFG)
+        common = ["--config", str(cfg_file), "--out"]
+        assert main(["run", *common, str(tmp_path / "run")]) == 0
+        staged = tmp_path / "staged"
+        for stage in ("gen-data", "train", "diagnose"):
+            assert main([stage, *common, str(staged)]) == 0, stage
+        for name in ("audit_mse_rank.csv", "audit_marginal.csv"):
+            assert (staged / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    def test_compare_writes_the_table(self, tmp_path, capsys):
+        run(parse_config(FAST_CFG), tmp_path / "a")
+        dirs = [str(tmp_path / "a"), str(tmp_path / "a")]
+        assert main(["compare", *dirs, "--out", str(tmp_path / "cli.csv")]) == 0
+        assert "(2 rows)" in capsys.readouterr().out
+        save_compare_rows(compare(dirs), tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_runtime_error_writes_error_json_into_existing_out(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        out.mkdir()  # no dataset.csv to train on
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
+        printed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        record = json.loads((out / "error.json").read_text())
+        assert record == printed
+        assert (record["error"], record["stage"]) == ("FileNotFoundError", "train")
+        assert "field" not in record

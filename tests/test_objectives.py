@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankmbo.objectives import (
+    _TIE_ROUNDS,
     DarConfig,
     RankConfig,
     TrainingDiverged,
@@ -22,6 +23,7 @@ from rankmbo.objectives import (
     train_mse,
     train_rank_global,
     zero_one_rank_loss,
+    _draw_ranked_direct,
 )
 from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate
 from rankmbo.tasks import OfflineDataset, quadratic_bowl_task
@@ -253,6 +255,46 @@ class TestPairSamplers:
         assert np.all(np.isin(pref, part.near_idx))
         assert np.all(np.isin(other[intra], part.near_idx))
         assert np.all(np.isin(other[~intra], part.sub_idx))
+
+
+class _EveryInteger:
+    """Stand-in generator whose one draw is every integer in [0, high)."""
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == high
+        return np.arange(high)
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestTieRedraws:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.integers(0, 3), min_size=2, max_size=25))
+    def test_direct_draw_maps_onto_each_ranked_pair_once(self, values):
+        scores = np.array(values, dtype=float)
+        n = len(scores)
+        ranked = [(i, j) for i in range(n) for j in range(n) if scores[i] > scores[j]]
+        assume(ranked)
+        pref, other = _draw_ranked_direct(_EveryInteger(), scores, len(ranked))
+        assert sorted(zip(pref.tolist(), other.tolist())) == sorted(ranked)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_distinct_value_finishes_within_the_cap(self, seed):
+        # 999 tied scores: a candidate pair is ranked with probability ~0.002
+        scores = np.zeros(1000)
+        scores[0] = 1.0
+        rng = _CountingRng(seed)
+        pref, other = sample_ranked_pairs(rng, scores, 256)
+        assert rng.calls <= 2 + 2 * _TIE_ROUNDS + 1
+        assert np.all(pref == 0) and np.all(other != 0)
 
 
 class TestTrainMse:

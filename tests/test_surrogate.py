@@ -167,6 +167,18 @@ class TestInit:
         with pytest.raises(ValueError):
             init_surrogate(0, 8, seed=0)
 
+    def test_model_owns_its_parameters(self):
+        a = init_surrogate(3, 8, seed=0)
+        before = [p.copy() for p in a.weights + a.biases]
+        b = MlpSurrogate(a.weights, a.biases)
+        for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert not np.shares_memory(pa, pb)
+        opt = _Optimizer(b, TrainConfig(learning_rate=0.1))
+        assert opt.step(b, *b.param_gradients(np.ones((4, 3)), np.ones(4)))
+        assert not all(np.array_equal(p, q) for p, q in zip(b.weights + b.biases, before))
+        for p, q in zip(a.weights + a.biases, before):
+            assert np.array_equal(p, q)
+
 
 class TestForward:
     def test_zero_model_outputs_zero(self):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import write_json
-from .config import ValidationError, apply_profile, load_config, reseed
+from .config import PROFILES, ValidationError, apply_profile, load_config, reseed
 from .harness import compare, error_record, run, save_compare_rows, sweep
 from .objectives import save_loss_trace
 from .search import save_search_result
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument(
-            "--profile", choices=("desk", "paper"), default=None, help="scale profile"
+            "--profile", choices=tuple(PROFILES), default=None, help="scale profile"
         )
 
     for name in ("gen-data", "train", "search", "diagnose", "run"):

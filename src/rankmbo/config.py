@@ -133,12 +133,13 @@ class ExperimentConfig:
         return out
 
 
-def _keys(block) -> list[str]:
-    """A section's file keys: its constructor fields, not Adam's constants."""
-    return [f.name for f in fields(block) if f.init]
+def _keys(block) -> dict:
+    """A section's file keys, each mapped to its field: the constructor
+    fields, not the constants."""
+    return {f.name: f for f in fields(block) if f.init}
 
 
-def _convert(section: str, key: str, raw: str, template) -> object:
+def _convert(section: str, key: str, raw: str, default) -> object:
     name = f"{section}.{key}"
     raw = raw.strip()
     if key == "radii":
@@ -146,7 +147,9 @@ def _convert(section: str, key: str, raw: str, template) -> object:
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
             raise ValidationError(name, f"cannot parse radii list from {raw!r}")
-    target = int if template is None else type(template)  # only seeds are unset
+    # parse by the declared type, not the current value's: a key set to an
+    # int by path still takes a float; only the seeds default to None
+    target = int if default is None else type(default)
     try:
         return target(raw) if target in (int, float) else raw
     except ValueError:
@@ -209,10 +212,11 @@ def set_by_path(cfg: ExperimentConfig, path: str, value) -> None:
     if section not in SECTIONS:
         raise ValidationError(path, "unknown section")
     block = getattr(cfg, section)
-    if key not in _keys(block):
+    declared = _keys(block).get(key)
+    if declared is None:
         raise ValidationError(path, "unknown key")
     if isinstance(value, str):
-        value = _convert(section, key, value, getattr(block, key))
+        value = _convert(section, key, value, declared.default)
     setattr(block, key, value)
 
 

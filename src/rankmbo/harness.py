@@ -99,9 +99,7 @@ def train_model(cfg: ExperimentConfig, dataset):
     for the search stage."""
     config_cls, trainer = get_objective(cfg.train.objective)
     config = cfg.train_config(config_cls)
-    model = init_surrogate(
-        dataset.task.dim, cfg.train.hidden, config.seed, config.weight_init_scale
-    )
+    model = init_surrogate(dataset.task.dim, cfg.train.hidden, config.seed)
     return trainer(model, dataset, config)
 
 

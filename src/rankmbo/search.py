@@ -10,7 +10,7 @@ grader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,14 @@ __all__ = [
     "save_search_result",
 ]
 
-INIT_RULES = ("topk", "random")
-
 
 @dataclass
 class SearchConfig:
     step_size: float = 0.05
     steps: int = 200
     num_candidates: int = 32
-    init_rule: str = "topk"
+    # a constant, not an option; a field so that ``to_dict`` echoes it
+    init_rule: str = field(default="topk", init=False)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,11 +48,9 @@ class SearchConfig:
             raise ValidationError("steps", "must be non-negative")
         if self.num_candidates < 1:
             raise ValidationError("num_candidates", "must be at least 1")
-        if self.init_rule not in INIT_RULES:
-            raise ValidationError("init_rule", f"must be one of {INIT_RULES}")
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass
@@ -131,9 +128,9 @@ def propose_candidates(
 ) -> SearchResult:
     """Ascend from near-set initializations; returns candidates without true scores.
 
-    ``topk`` initializes at the highest-scoring members of the near set
-    (resampling with replacement when the near set is smaller than the
-    candidate count); ``random`` draws uniformly from the near set.
+    The start rule is ``topk``: the highest-scoring members of the near set,
+    padded by uniform draws from it with replacement when the near set is
+    smaller than the candidate count.
     """
     if part.n_near < 1:
         raise ValueError("empty near set")
@@ -142,14 +139,11 @@ def propose_candidates(
     rng = np.random.default_rng(config.seed)
     y = dataset.scores
     k = config.num_candidates
-    if config.init_rule == "topk":
-        ranked = part.near_idx[np.argsort(-y[part.near_idx], kind="stable")]
-        chosen = ranked[:k]
-        if len(chosen) < k:
-            pad = part.near_idx[rng.integers(0, part.n_near, size=k - len(chosen))]
-            chosen = np.concatenate([chosen, pad])
-    else:
-        chosen = part.near_idx[rng.integers(0, part.n_near, size=k)]
+    ranked = part.near_idx[np.argsort(-y[part.near_idx], kind="stable")]
+    chosen = ranked[:k]
+    if len(chosen) < k:
+        pad = part.near_idx[rng.integers(0, part.n_near, size=k - len(chosen))]
+        chosen = np.concatenate([chosen, pad])
     X0 = dataset.designs[chosen]
 
     objective = SurrogateObjective(model)

@@ -21,12 +21,13 @@ into views of the optimizer's flat gradient buffer.  The backward pass runs
 on the rows with nonzero upstream gradient only: a margin-loss pair past the
 margin has exactly zero gradient, and most pairs are past it after the first
 iterations.  When every row is active, as in every mse step, the cached
-arrays are used as they are.  The optimizer keeps Adam's moments as flat
-buffers too and runs its update over fixed cache-sized blocks of them, then
-subtracts the update from the model's arrays in place.  At paper width (4.2M
-parameters) a step therefore allocates no parameter-sized array, and the
-arithmetic, operation for operation, is that of the plain whole-buffer
-expression, so results are bit-identical to it.
+arrays are used as they are.  The one optimizer is Adam with fixed constants
+and no weight decay.  It keeps its moments as flat buffers too, runs its
+update over fixed cache-sized blocks of them, then subtracts the update from
+the model's arrays in place.  At paper width (4.2M parameters) a step
+therefore allocates no parameter-sized array, and the arithmetic, operation
+for operation, is that of the plain whole-buffer expression, so results are
+bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -74,13 +75,13 @@ class TrainConfig:
     iterations: int = 5000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     # constants, not options; fields so that ``to_dict`` echoes them
+    optimizer: str = field(default="adam", init=False)
     adam_beta1: float = field(default=0.9, init=False)
     adam_beta2: float = field(default=0.999, init=False)
     adam_eps: float = field(default=1e-8, init=False)
-    weight_decay: float = 0.0
-    weight_init_scale: float = 1.0
+    weight_decay: float = field(default=0.0, init=False)
+    weight_init_scale: float = field(default=1.0, init=False)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,10 +91,6 @@ class TrainConfig:
             raise ValidationError("batch_size", "must be at least 1")
         if self.learning_rate < 0.0:
             raise ValidationError("learning_rate", "must be non-negative")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValidationError("optimizer", "must be sgd or adam")
-        if self.weight_decay < 0.0:
-            raise ValidationError("weight_decay", "must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -389,14 +386,14 @@ _BLOCK = 32768
 
 
 class _Optimizer:
-    """SGD or Adam over the surrogate parameters, with optional weight decay.
+    """Adam over the surrogate parameters.
 
     The optimizer owns one flat gradient buffer and one flat update buffer over
     the parameters in the order W1, W2, W3, b1, b2, b3; Adam's two moments are
     flat buffers in the same order.  ``grads`` holds per-parameter views of the
     gradient buffer, for ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``
     to write into, so a step at paper width allocates no parameter-sized
-    array.  Gradients that are not these views are copied in first.  Adam
+    array.  Gradients that are not these views are copied in first.  A step
     runs in two passes over fixed ``_BLOCK`` views of the buffers: the first
     updates the moments, then one check over all of ``v`` runs before the
     second writes the update.  Each parameter then subtracts its slice of the
@@ -411,6 +408,8 @@ class _Optimizer:
         n = int(ends[-1])
         self.grad = np.empty(n)
         self.update = np.empty(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
 
         def views(flat):
             return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
@@ -418,53 +417,43 @@ class _Optimizer:
         grad_views = views(self.grad)
         self.grads = (grad_views[:3], grad_views[3:])
         self._update_views = views(self.update)
-        if config.optimizer == "adam":
-            self.m = np.zeros(n)
-            self.v = np.zeros(n)
-            scratch = np.empty(min(n, _BLOCK))
-            self._blocks = []
-            for start in range(0, n, _BLOCK):
-                sl = slice(start, min(start + _BLOCK, n))
-                bufs = (self.grad[sl], self.m[sl], self.v[sl], self.update[sl])
-                self._blocks.append(bufs + (scratch[: sl.stop - start],))
+        scratch = np.empty(min(n, _BLOCK))
+        self._blocks = []
+        for start in range(0, n, _BLOCK):
+            sl = slice(start, min(start + _BLOCK, n))
+            bufs = (self.grad[sl], self.m[sl], self.v[sl], self.update[sl])
+            self._blocks.append(bufs + (scratch[: sl.stop - start],))
 
     def step(
         self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
     ) -> bool:
         """Apply one update; return False, leaving the model untouched, when
-        Adam's second moment has overflowed (an inf entry would freeze its
+        the second moment has overflowed (an inf entry would freeze its
         parameter silently)."""
         cfg = self.config
         own_w, own_b = self.grads
         for g, dst in zip(grads_w + grads_b, own_w + own_b):
             if g is not dst:
                 np.copyto(dst, g)
-        if cfg.weight_decay > 0.0:
-            # the update buffer is free scratch until the update is written
-            for dst, w, tmp in zip(own_w, model.weights, self._update_views):
-                dst += np.multiply(cfg.weight_decay, w, out=tmp)
-        if cfg.optimizer == "sgd":
-            np.multiply(cfg.learning_rate, self.grad, out=self.update)
-        else:
-            b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-            self.t += 1
-            corr1 = 1.0 - b1**self.t
-            corr2 = 1.0 - b2**self.t
-            for g, m, v, _, s in self._blocks:
-                m *= b1
-                m += np.multiply(1 - b1, g, out=s)
-                v *= b2
-                np.square(g, out=s)
-                v += np.multiply(1 - b2, s, out=s)
-            if not np.isfinite(self.v).all():
-                return False
-            for _, m, v, u, s in self._blocks:
-                np.divide(m, corr1, out=u)
-                u *= cfg.learning_rate
-                np.divide(v, corr2, out=s)
-                np.sqrt(s, out=s)
-                s += cfg.adam_eps
-                u /= s
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        self.t += 1
+        corr1 = 1.0 - b1**self.t
+        corr2 = 1.0 - b2**self.t
+        for g, m, v, _, s in self._blocks:
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.square(g, out=s)
+            v += np.multiply(1 - b2, s, out=s)
+        if not np.isfinite(self.v).all():
+            return False
+        for _, m, v, u, s in self._blocks:
+            np.divide(m, corr1, out=u)
+            u *= cfg.learning_rate
+            np.divide(v, corr2, out=s)
+            np.sqrt(s, out=s)
+            s += cfg.adam_eps
+            u /= s
         for p, u in zip(model.weights + model.biases, self._update_views):
             p -= u
         return True

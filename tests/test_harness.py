@@ -1,9 +1,11 @@
+import configparser
 import csv
 import json
 import struct
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from rankmbo.harness import (
     train_model,
 )
 from rankmbo.objectives import partition, train_dar
-from rankmbo.search import propose_candidates
+from rankmbo.search import SearchConfig, propose_candidates
 from rankmbo.surrogate import TrainConfig, init_surrogate
 
 FAST_CFG = """
@@ -78,8 +80,6 @@ BAD_VALUES = [
     ("train.iterations", "abc"),
     ("train.batch_size", "0"),
     ("train.learning_rate", "-0.1"),
-    ("train.optimizer", "rmsprop"),
-    ("train.weight_decay", "-0.1"),
     ("train.margin", "-0.1"),
     ("train.near_fraction", "0.0"),
     ("train.near_fraction", "1.0"),
@@ -88,7 +88,6 @@ BAD_VALUES = [
     ("search.step_size", "-0.1"),
     ("search.steps", "-1"),
     ("search.num_candidates", "0"),
-    ("search.init_rule", "best"),
     ("diagnostics.eval_pool_size", "1"),
     ("diagnostics.eval_near_fraction", "0.0"),
     ("diagnostics.radii", "2.0, 1.0"),
@@ -113,16 +112,29 @@ CLI_BAD_LINES = [
 FILE_KEYS = {
     "task": ["name", "pool_size", "keep_fraction", "noise_std", "seed"],
     "train": [
-        "iterations", "batch_size", "learning_rate", "optimizer", "weight_decay",
-        "weight_init_scale", "seed", "margin", "near_fraction", "intra_ratio",
-        "objective", "hidden",
+        "iterations", "batch_size", "learning_rate", "seed", "margin",
+        "near_fraction", "intra_ratio", "objective", "hidden",
     ],
-    "search": ["step_size", "steps", "num_candidates", "init_rule", "seed"],
+    "search": ["step_size", "steps", "num_candidates", "seed"],
     "diagnostics": [
         "eval_pool_size", "eval_near_fraction", "radii", "w1_sample_size",
         "mse_rank_audit_trials", "marginal_audit_trials", "seed",
     ],
 }
+
+
+def _keys_set(text):
+    """The dotted keys a config text sets."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(text)
+    return {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+
+
+def _file_keys_without_derived_seeds():
+    """Every file key but the train, search and diagnostics seeds, which
+    default to offsets from the task seed."""
+    keys = {f"{section}.{key}" for section, names in FILE_KEYS.items() for key in names}
+    return keys - {"train.seed", "search.seed", "diagnostics.seed"}
 
 
 def read_csv_rows(path):
@@ -216,9 +228,42 @@ class TestConfig:
         with pytest.raises(ValidationError):
             set_by_path(cfg, "train.nope", 1)
 
+    def test_text_parses_by_declared_type(self):
+        # an int set by path must not make the key parse later text as int
+        cfg = ExperimentConfig()
+        set_by_path(cfg, "train.margin", 1)
+        set_by_path(cfg, "train.margin", "0.5")
+        assert cfg.train.margin == 0.5
+        set_by_path(cfg, "train.seed", "4")
+        assert cfg.train.seed == 4
+
+    def test_retired_keys_are_unknown(self):
+        for key in ("optimizer", "weight_decay", "weight_init_scale"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{key: getattr(TrainConfig(), key)})
+        with pytest.raises(TypeError):
+            SearchConfig(init_rule="topk")
+        for path, value in [
+            ("train.optimizer", "adam"),
+            ("train.weight_decay", "0.0"),
+            ("train.weight_init_scale", "1.0"),
+            ("search.init_rule", "topk"),
+        ]:
+            section, key = path.split(".")
+            with pytest.raises(ValidationError, match="unknown key") as excinfo:
+                parse_config(f"[{section}]\n{key} = {value}\n")
+            assert excinfo.value.field == path
+
+    def test_readme_config_block_is_the_schema(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("## Config files", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block).to_dict() == ExperimentConfig().to_dict()
+        assert _keys_set(block) == _file_keys_without_derived_seeds()
+
     def test_file_schema(self):
         cfg = ExperimentConfig()
-        assert sum(len(keys) for keys in FILE_KEYS.values()) == 29
+        assert sum(len(keys) for keys in FILE_KEYS.values()) == 25
         assert {section: list(keys) for section, keys in cfg.to_dict().items()} == FILE_KEYS
         for section, keys in FILE_KEYS.items():
             block = getattr(cfg, section)
@@ -238,13 +283,26 @@ class TestConfig:
             "adam_beta2", "adam_eps", "weight_decay", "weight_init_scale", "seed",
         ]
         assert (echo["adam_beta1"], echo["adam_beta2"], echo["adam_eps"]) == (0.9, 0.999, 1e-8)
+        assert (echo["optimizer"], echo["weight_decay"], echo["weight_init_scale"]) == (
+            "adam", 0.0, 1.0,
+        )
         with pytest.raises(TypeError):
             TrainConfig(adam_beta1=0.5)
+
+    def test_search_json_echoes_init_rule_in_order(self):
+        echo = SearchConfig().to_dict()
+        assert list(echo) == ["step_size", "steps", "num_candidates", "init_rule", "seed"]
+        assert echo["init_rule"] == "topk"
 
     def test_presets_ship_and_validate(self):
         for name in ("branin_dar_desk", "branin_mse_desk", "branin_rank_global_desk"):
             cfg = load_config(preset_path(name))
             assert cfg.task.name == "branin"
+
+    def test_presets_set_every_file_key(self):
+        for name in ("branin_dar_desk", "branin_mse_desk", "branin_rank_global_desk"):
+            text = preset_path(name).read_text()
+            assert _keys_set(text) == _file_keys_without_derived_seeds(), name
 
 
 @pytest.fixture(scope="module")

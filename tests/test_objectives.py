@@ -325,7 +325,7 @@ class TestTrainMse:
         with pytest.raises(TrainingDiverged) as exc:
             train_mse(
                 model, ds,
-                TrainConfig(iterations=500, batch_size=4, learning_rate=1e150, optimizer="sgd", seed=1),
+                TrainConfig(iterations=500, batch_size=4, learning_rate=1e150, seed=1),
             )
         assert exc.value.iteration == 0
 

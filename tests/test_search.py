@@ -193,7 +193,7 @@ class TestProposeAndScore:
         ds = make_dataset()
         model = self._trained(ds)
         part = partition(ds, 0.2)
-        cfg = SearchConfig(steps=0, num_candidates=1, init_rule="topk", seed=0)
+        cfg = SearchConfig(steps=0, num_candidates=1, seed=0)
         result = propose_candidates(model, ds, part, cfg)
         best = ds.designs[np.argmax(ds.scores)]
         assert np.array_equal(result.candidates[0], best)
@@ -202,7 +202,7 @@ class TestProposeAndScore:
         ds = make_dataset()
         model = self._trained(ds)
         part = partition(ds, 0.1)  # 4 near points
-        cfg = SearchConfig(steps=0, num_candidates=11, init_rule="topk", seed=0)
+        cfg = SearchConfig(steps=0, num_candidates=11, seed=0)
         result = propose_candidates(model, ds, part, cfg)
         assert len(result.candidates) == 11
         for x0 in result.init_designs:
@@ -229,7 +229,8 @@ class TestProposeAndScore:
         ds = make_dataset()
         model = self._trained(ds)
         part = partition(ds, 0.1)
-        cfg = SearchConfig(steps=5, num_candidates=20, init_rule="random", seed=6)
+        cfg = SearchConfig(steps=5, num_candidates=20, seed=6)
+        assert part.n_near < cfg.num_candidates  # the rest are seeded draws
         a = propose_candidates(model, ds, part, cfg)
         b = propose_candidates(model, ds, part, cfg)
         assert np.array_equal(a.candidates, b.candidates)
@@ -249,10 +250,10 @@ class TestProposeAndScore:
     def test_identical_candidates_share_best(self):
         ds = make_dataset()
         model = self._trained(ds)
-        part = partition(ds, 0.2)
-        cfg = SearchConfig(steps=0, num_candidates=3, init_rule="random", seed=123)
+        part = partition(ds, 0.1)  # 4 near points, padded to 6 starts
+        cfg = SearchConfig(steps=0, num_candidates=6, seed=123)
         result = propose_candidates(model, ds, part, cfg)
-        result.candidates = np.tile(result.candidates[:1], (3, 1))
+        result.candidates = np.tile(result.candidates[:1], (6, 1))
         result = score_candidates(result, ds)
         assert np.all(result.true_scores == result.best_true)
 
@@ -283,6 +284,4 @@ def test_search_config_validation():
         SearchConfig(step_size=-0.1)
     with pytest.raises(ValueError):
         SearchConfig(num_candidates=0)
-    with pytest.raises(ValueError):
-        SearchConfig(init_rule="best")
     SearchConfig(step_size=0.0)  # a zero step is a legitimate degenerate search

@@ -436,26 +436,18 @@ class TestActiveRowBackward:
 
 
 class _PerLayerOptimizer:
-    """Per-layer SGD/Adam update, the reference for the flat-moment optimizer."""
+    """Per-layer Adam update, the reference for the flat-moment optimizer."""
 
     def __init__(self, model, config):
         self.config = config
         self.t = 0
-        if config.optimizer == "adam":
-            self.m_w = [np.zeros_like(w) for w in model.weights]
-            self.v_w = [np.zeros_like(w) for w in model.weights]
-            self.m_b = [np.zeros_like(b) for b in model.biases]
-            self.v_b = [np.zeros_like(b) for b in model.biases]
+        self.m_w = [np.zeros_like(w) for w in model.weights]
+        self.v_w = [np.zeros_like(w) for w in model.weights]
+        self.m_b = [np.zeros_like(b) for b in model.biases]
+        self.v_b = [np.zeros_like(b) for b in model.biases]
 
     def step(self, model, grads_w, grads_b):
         cfg = self.config
-        if cfg.weight_decay > 0.0:
-            grads_w = [g + cfg.weight_decay * w for g, w in zip(grads_w, model.weights)]
-        if cfg.optimizer == "sgd":
-            for i in range(3):
-                model.weights[i] -= cfg.learning_rate * grads_w[i]
-                model.biases[i] -= cfg.learning_rate * grads_b[i]
-            return
         self.t += 1
         corr1 = 1.0 - cfg.adam_beta1**self.t
         corr2 = 1.0 - cfg.adam_beta2**self.t
@@ -472,10 +464,10 @@ class _PerLayerOptimizer:
             )
 
 
-def assert_matches_per_layer_reference(hidden, optimizer, weight_decay, steps=40):
+def assert_matches_per_layer_reference(hidden, steps=40):
     """Train with _Optimizer and the per-layer reference side by side; the
     parameters must agree bit for bit and stay the arrays the model held."""
-    cfg = TrainConfig(optimizer=optimizer, weight_decay=weight_decay, learning_rate=1e-2)
+    cfg = TrainConfig(learning_rate=1e-2)
     rng = np.random.default_rng(3)
     model, ref = init_surrogate(3, hidden, seed=1), init_surrogate(3, hidden, seed=1)
     held = model.weights + model.biases
@@ -493,18 +485,14 @@ def assert_matches_per_layer_reference(hidden, optimizer, weight_decay, steps=40
 
 
 class TestOptimizer:
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_matches_per_layer_reference(self, optimizer, weight_decay):
-        assert_matches_per_layer_reference(6, optimizer, weight_decay)
+    def test_matches_per_layer_reference(self):
+        assert_matches_per_layer_reference(6)
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_multi_block_matches_per_layer_reference(self, optimizer, weight_decay):
+    def test_multi_block_matches_per_layer_reference(self):
         # 41201 parameters: one full block and a partial last one
         n = init_surrogate(3, 200, seed=1).num_params
         assert n > _BLOCK and n % _BLOCK != 0
-        assert_matches_per_layer_reference(200, optimizer, weight_decay, steps=10)
+        assert_matches_per_layer_reference(200, steps=10)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_moment_overflow_in_last_block_leaves_model_untouched(self):
@@ -521,7 +509,7 @@ class TestOptimizer:
 
     def test_foreign_gradients_are_not_written(self):
         model = init_surrogate(2, 4, seed=0)
-        opt = _Optimizer(model, TrainConfig(weight_decay=0.05))
+        opt = _Optimizer(model, TrainConfig())
         gw, gb = model.param_gradients(np.ones((3, 2)), np.ones(3))
         fresh = [g.copy() for g in gw + gb]
         opt.step(model, gw, gb)
@@ -695,5 +683,3 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")

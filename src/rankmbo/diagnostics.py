@@ -64,7 +64,9 @@ class EvalPool:
 
     The pool is split at the top-quantile threshold of the true scores into the
     near-optimal side and its complement, mirroring how the offline dataset is
-    partitioned but on unseen ground truth.
+    partitioned but on unseen ground truth.  ``near_designs`` and
+    ``sub_designs`` are fresh copies on every access: take a side once per
+    call, or index ``designs`` through ``near_idx`` and ``sub_idx``.
     """
 
     designs: np.ndarray
@@ -235,9 +237,9 @@ def ranking_error_vs_radius(
     sets are nested.  Empty restrictions yield a row with a null estimate.
     """
     radii = _check_radii(radii)
-    d_sub = manifold_distances(pool.sub_designs, manifold)
-    h_near, h_sub = score_fn(pool.near_designs), score_fn(pool.sub_designs)
-    return _radius_rows(h_near, h_sub, d_sub, radii)
+    sub = pool.sub_designs
+    d_sub = manifold_distances(sub, manifold)
+    return _radius_rows(score_fn(pool.near_designs), score_fn(sub), d_sub, radii)
 
 
 def build_ranking_report(
@@ -267,7 +269,8 @@ def build_ranking_report(
 
     rng = np.random.default_rng(seed)
     n = min(w1_sample_size, len(pool.near_idx), len(manifold))
-    near_sample = pool.near_designs[rng.choice(len(pool.near_idx), n, replace=False)]
+    pick = rng.choice(len(pool.near_idx), n, replace=False)
+    near_sample = pool.designs[pool.near_idx[pick]]
     manifold_sample = manifold[rng.choice(len(manifold), n, replace=False)]
     w1 = wasserstein1_assignment(near_sample, manifold_sample, metric="euclidean")
 

@@ -134,27 +134,24 @@ def run_diagnostics(cfg: ExperimentConfig, model, dataset):
 
 
 def _mse_rank_audits(pool, trials, seed, dim):
-    reports = []
-    for t in range(trials):
-        probe = init_surrogate(dim, 16, seed * 100_003 + t)
-        reports.append(
-            audit_mse_to_rank(
-                probe.forward_batch,
-                pool.near_designs,
-                pool.sub_designs,
-                pool.true_scores[pool.near_idx],
-                pool.true_scores[pool.sub_idx],
-            )
-        )
-    return reports
+    sides = (
+        pool.near_designs,
+        pool.sub_designs,
+        pool.true_scores[pool.near_idx],
+        pool.true_scores[pool.sub_idx],
+    )
+    return [
+        audit_mse_to_rank(init_surrogate(dim, 16, seed * 100_003 + t).forward_batch, *sides)
+        for t in range(trials)
+    ]
 
 
 def _marginal_audits(pool, dataset, trials, seed, n=16):
     rng = np.random.default_rng(seed + 7)
     reports = []
     for _ in range(trials):
-        near = pool.near_designs[rng.choice(len(pool.near_idx), n, replace=True)]
-        sub = pool.sub_designs[rng.choice(len(pool.sub_idx), n, replace=True)]
+        near = pool.designs[pool.near_idx[rng.choice(len(pool.near_idx), n, replace=True)]]
+        sub = pool.designs[pool.sub_idx[rng.choice(len(pool.sub_idx), n, replace=True)]]
         mu = dataset.designs[rng.choice(len(dataset), n, replace=True)]
         nu = dataset.designs[rng.choice(len(dataset), n, replace=True)]
         reports.append(audit_marginal_decomposition(near, sub, mu, nu))

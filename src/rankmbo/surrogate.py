@@ -11,8 +11,15 @@ scoring, training and the input gradient alike.  It caches one array per
 hidden layer: each layer's matmul output gets its bias added and, after a
 check that it is finite, its ReLU applied in place, so the cache is
 ``(Z, H1, H2)``.  The backward passes take each ReLU mask from ``H > 0``,
-which equals ``A > 0`` for the pre-activation ``A``.  Scoring n rows thus
-peaks at about two n x hidden float64 arrays.
+which equals ``A > 0`` for the pre-activation ``A``.  ``forward_batch``
+runs it over fixed blocks of ``_SCORE_ROWS`` (4096) rows, writing each
+block's scores into one output vector, so scoring n rows peaks at two
+block x hidden float64 arrays plus the n scores.  A call of at most one
+block is a single pass, as every training batch, search step and shipped
+desk or paper pool is.  In a larger call a score's last bit can depend on
+its block, which the row's position fixes: OpenBLAS rounds the output
+product, and for blocks of 16 rows or fewer the hidden products,
+differently at different row counts.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
@@ -66,6 +73,9 @@ __all__ = [
 ]
 
 ADAPT_STD_FLOOR = 1e-12
+# ``forward_batch`` scores at most this many rows per forward pass; at hidden
+# 64 a block's two cached arrays take 4 MiB
+_SCORE_ROWS = 4096
 
 
 @dataclass
@@ -181,7 +191,16 @@ class MlpSurrogate:
         return out[:, 0], (Z, H1, H2)
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        out, _ = self._forward_cache(X)
+        """Scores of the rows of ``X``, one forward pass per fixed block of
+        ``_SCORE_ROWS`` rows, so memory beyond the scores is bounded by the
+        block at any pool size."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or len(X) <= _SCORE_ROWS:  # the cache checks the shape
+            return self._forward_cache(X)[0]
+        out = np.empty(len(X))
+        for start in range(0, len(X), _SCORE_ROWS):
+            block = slice(start, start + _SCORE_ROWS)
+            out[block] = self._forward_cache(X[block])[0]
         return out
 
     def param_gradients(

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rankmbo import surrogate
 from rankmbo.objectives import margin_rank_loss_grad
 from rankmbo.surrogate import (
     MlpSurrogate,
@@ -252,6 +253,85 @@ class TestForwardCache:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * hidden * 8
+
+    def test_large_pool_peak_memory_is_bounded_by_the_block(self):
+        # one pass over 200 000 rows would hold two 200 000 x 64 arrays
+        # (205 MB); 4096-row blocks hold 4 MiB of them beside the scores
+        n, hidden = 200_000, 64
+        m = init_surrogate(2, hidden, seed=0)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        m.adapt_output(X[:1000])
+        tracemalloc.start()
+        try:
+            m.predict_adapted_batch(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the autouse fixture patches the same block size for every example
+blocked_settings = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestBlockedScoring:
+    """``forward_batch`` over fixed ``_SCORE_ROWS`` blocks, shrunk to BLOCK
+    rows so that small inputs span several blocks."""
+
+    BLOCK = 64
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "_SCORE_ROWS", self.BLOCK)
+
+    @blocked_settings
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 16),
+        n=st.integers(1, BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_block_is_one_pass(self, dim, hidden, n, seed):
+        m = random_model(dim, hidden, seed)
+        X = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
+        assert same_bits(m.forward_batch(X), m._forward_cache(X)[0])
+
+    @blocked_settings
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 16),
+        n=st.integers(BLOCK + 1, 6 * BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_many_rows_are_the_fixed_blocks_concatenated(self, dim, hidden, n, seed):
+        m = random_model(dim, hidden, seed)
+        X = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
+        blocks = [m._forward_cache(X[s : s + self.BLOCK])[0] for s in range(0, n, self.BLOCK)]
+        assert same_bits(m.forward_batch(X), np.concatenate(blocks))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @blocked_settings
+    @given(layer=st.integers(1, 3), n=st.integers(BLOCK + 1, 4 * BLOCK), data=st.data())
+    def test_nonfinite_in_last_block_raises_with_layer(self, layer, n, data):
+        m = make_linear_chain()
+        m.weights[layer - 1][0, 0] = 1e308
+        X = np.zeros((n, 1))
+        last = (n - 1) // self.BLOCK * self.BLOCK
+        X[data.draw(st.integers(last, n - 1))] = 1e5
+        with pytest.raises(FloatingPointError, match=f"layer {layer}"):
+            m.forward_batch(X)
+
+    def test_bad_shape_rejected(self):
+        m = init_surrogate(2, 4, seed=0)
+        for X in (np.zeros(3 * self.BLOCK), np.zeros((3 * self.BLOCK, 3))):
+            with pytest.raises(ValueError, match="expected inputs of shape"):
+                m.forward_batch(X)
 
 
 class TestParamGradients:

@@ -11,7 +11,11 @@ manifold.  Distances to the manifold come from one k-d tree nearest-neighbour
 query over the pool, each pool side is scored once, and every radius counts
 on a mask of those scores.  Empirical 1-Wasserstein distances are exact
 minimum-cost matchings (including the additive pair metric on products of
-design pairs).  Two inequalities are audited numerically: the
+design pairs).  The manifold diameter, the calibration constant of the
+distance terms, is exact: the farthest pair lies on the convex hull, so in 2
+to 4 dimensions only qhull's hull points are compared, and the quadratic
+scan over every point is left to other dimensions and flat sets.  Two
+inequalities are audited numerically: the
 squared-error-to-ranking reduction with constant 4 / gap^2, and the
 decomposition of the pair-metric transport cost into the sum of its marginal
 transport costs.
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
 from .artifacts import write_csv, write_json
@@ -55,6 +59,8 @@ __all__ = [
 ]
 
 ASSIGNMENT_CAP = 512
+# manifold_diameter reduces the set to its convex hull up to this dimension
+_HULL_MAX_DIM = 4
 AUDIT_TOL = 1e-9
 
 
@@ -191,12 +197,32 @@ def manifold_distances(X: np.ndarray, manifold: np.ndarray) -> np.ndarray:
 
 
 def manifold_diameter(manifold: np.ndarray) -> float:
-    manifold = np.atleast_2d(np.asarray(manifold, dtype=float))
+    """Largest Euclidean distance between two manifold points.
+
+    The farthest pair of a finite set lies on its convex hull, so in 2 to 4
+    dimensions only qhull's hull vertices and the points it reports as
+    coplanar with a facet are compared.  In other dimensions (qhull is slower
+    than the quadratic scan from 5 on), or when qhull refuses the set (too
+    few points, or all of them in a lower-dimensional flat), every point is.
+    Each distance is the same ``cdist`` value either way, so the result is
+    the maximum over all pairs bit for bit.  The scan runs in row chunks of
+    at most about 2e6 distances.  A NaN or infinite coordinate raises
+    ValueError.
+    """
+    points = np.atleast_2d(np.asarray(manifold, dtype=float))
+    if not np.isfinite(points).all():
+        raise ValueError("manifold must be finite")
+    if 2 <= points.shape[1] <= _HULL_MAX_DIM:
+        try:
+            hull = ConvexHull(points, qhull_options="Qc")
+        except (QhullError, ValueError):
+            pass
+        else:
+            points = points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
     best = 0.0
-    chunk = max(1, 2_000_000 // max(1, len(manifold)))
-    for start in range(0, len(manifold), chunk):
-        stop = min(start + chunk, len(manifold))
-        best = max(best, float(cdist(manifold[start:stop], manifold).max()))
+    chunk = max(1, 2_000_000 // max(1, len(points)))
+    for start in range(0, len(points), chunk):
+        best = max(best, float(cdist(points[start : start + chunk], points).max()))
     return best
 
 

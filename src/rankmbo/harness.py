@@ -4,10 +4,10 @@
 artifacts (dataset.csv, model.json, loss_trace.csv, search.csv, search.json,
 diagnostics.csv, manifest.json) plus one audit CSV per enabled audit.  Given
 the same config the numeric artifacts are byte-identical across runs; only the
-manifest differs (its timings and peak memory).  Every artifact, the
-``sweep`` summary and the ``compare`` table included, is written atomically by
-``artifacts.write_csv`` or ``artifacts.write_json``, so all CSV files share one
-cell format.
+manifest differs (its timings, peak memory and page faults).  Every artifact,
+the ``sweep`` summary and the ``compare`` table included, is written
+atomically by ``artifacts.write_csv`` or ``artifacts.write_json``, so all CSV
+files share one cell format.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
 
 
+def _minor_page_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -183,8 +188,12 @@ def run(
     ValidationError naming its field and leaves no directory behind.  The
     manifest's ``stage_s`` times the data, train, search and diagnostics
     stages and, under ``write``, every artifact write but the manifest's own.
+    ``minor_page_faults`` counts the process's minor faults over the run:
+    they depend on the heap the process already holds, so a first run in a
+    fresh process can take many more than a later one.
     """
     started = time.perf_counter()
+    faults_before = _minor_page_faults()
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,6 +250,7 @@ def run(
         "artifacts": sorted(artifacts),
         "stage_s": stage_s,
         "peak_rss_mb": _peak_rss_mb(),
+        "minor_page_faults": _minor_page_faults() - faults_before,
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_s": time.perf_counter() - started,
     }

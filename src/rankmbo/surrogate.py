@@ -13,13 +13,16 @@ check that it is finite, its ReLU applied in place, so the cache is
 ``(Z, H1, H2)``.  The backward passes take each ReLU mask from ``H > 0``,
 which equals ``A > 0`` for the pre-activation ``A``.  ``forward_batch``
 runs it over fixed blocks of ``_SCORE_ROWS`` (4096) rows, writing each
-block's scores into one output vector, so scoring n rows peaks at two
-block x hidden float64 arrays plus the n scores.  A call of at most one
-block is a single pass, as every training batch, search step and shipped
-desk or paper pool is.  In a larger call a score's last bit can depend on
-its block, which the row's position fixes: OpenBLAS rounds the output
-product, and for blocks of 16 rows or fewer the hidden products,
-differently at different row counts.
+block's scores into one output vector.  The blocks of one call share one
+workspace (``Z``, ``H1``, ``H2``, the output column and a finite mask),
+allocated once per call, that ``_forward_cache`` writes into with ``out=``;
+so scoring n rows peaks at two block x hidden float64 arrays plus the n
+scores, and a large call does not map and fault in fresh pages per block.
+A call of at most one block is a single allocating pass, as every training
+batch, search step and shipped desk or paper pool is.  In a larger call a
+score's last bit can depend on its block, which the row's position fixes:
+OpenBLAS rounds the output product, and for blocks of 16 rows or fewer the
+hidden products, differently at different row counts.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
@@ -29,12 +32,13 @@ on the rows with nonzero upstream gradient only: a margin-loss pair past the
 margin has exactly zero gradient, and most pairs are past it after the first
 iterations.  When every row is active, as in every mse step, the cached
 arrays are used as they are.  The one optimizer is Adam with fixed constants
-and no weight decay.  It keeps its moments as flat buffers too, runs its
-update over fixed cache-sized blocks of them, then subtracts the update from
-the model's arrays in place.  At paper width (4.2M parameters) a step
-therefore allocates no parameter-sized array, and the arithmetic, operation
-for operation, is that of the plain whole-buffer expression, so results are
-bit-identical to it.
+and no weight decay.  It keeps its moments as flat buffers too and runs its
+update over fixed cache-sized blocks of them: each block's update goes into
+a block-sized scratch and is subtracted in place from the flat views of the
+model's (C-ordered) arrays that the block covers.  At paper width (4.2M
+parameters) a step therefore allocates nothing and holds no parameter-sized
+update buffer, and the arithmetic, operation for operation, is that of the
+plain whole-buffer expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -117,9 +121,10 @@ class MlpSurrogate:
     ):
         if len(weights) != 3 or len(biases) != 3:
             raise ValueError("expected exactly three linear layers")
-        # copies: the optimizer updates these arrays in place
-        self.weights = [np.array(w, dtype=float) for w in weights]
-        self.biases = [np.array(b, dtype=float) for b in biases]
+        # C-ordered copies: the optimizer updates these arrays in place,
+        # through flat views
+        self.weights = [np.array(w, dtype=float, order="C") for w in weights]
+        self.biases = [np.array(b, dtype=float, order="C") for b in biases]
         for w, b in zip(self.weights, self.biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError("weight/bias shapes inconsistent")
@@ -170,37 +175,57 @@ class MlpSurrogate:
 
     # -- forward and gradients ------------------------------------------------
 
-    def _forward_cache(self, X: np.ndarray):
+    def _forward_cache(self, X: np.ndarray, work=None):
+        """Scores and the ``(Z, H1, H2)`` cache of the rows of ``X``.
+
+        ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
+        rows; every array of the pass is then written into its leading
+        entries, and the returned scores and cache are views of it.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected inputs of shape (n, {self.dim})")
-        Z = (X - self.x_mean) / self.x_std
-        H1 = Z @ self.weights[0].T
+        Z, H1, H2, col = (None,) * 4 if work is None else (a[: len(X)] for a in work[:4])
+        finite = None if work is None else work[4]
+        Z = np.divide(np.subtract(X, self.x_mean, out=Z), self.x_std, out=Z)
+        H1 = np.matmul(Z, self.weights[0].T, out=H1)
         H1 += self.biases[0]
-        if not np.all(np.isfinite(H1)):
-            raise FloatingPointError("non-finite activation in layer 1")
+        _check_finite(H1, 1, finite)
         np.maximum(H1, 0.0, out=H1)
-        H2 = H1 @ self.weights[1].T
+        H2 = np.matmul(H1, self.weights[1].T, out=H2)
         H2 += self.biases[1]
-        if not np.all(np.isfinite(H2)):
-            raise FloatingPointError("non-finite activation in layer 2")
+        _check_finite(H2, 2, finite)
         np.maximum(H2, 0.0, out=H2)
-        out = H2 @ self.weights[2].T + self.biases[2]
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("non-finite activation in layer 3")
+        out = np.matmul(H2, self.weights[2].T, out=col)
+        out += self.biases[2]
+        _check_finite(out, 3, finite)
         return out[:, 0], (Z, H1, H2)
+
+    def _score_workspace(self, rows: int):
+        """``Z``, ``H1``, ``H2``, the output column and a flat finite mask for
+        forward passes of up to ``rows`` rows."""
+        h1, h2 = self.layer_sizes[1:3]
+        return (
+            np.empty((rows, self.dim)),
+            np.empty((rows, h1)),
+            np.empty((rows, h2)),
+            np.empty((rows, 1)),
+            np.empty(rows * max(h1, h2), dtype=bool),
+        )
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         """Scores of the rows of ``X``, one forward pass per fixed block of
         ``_SCORE_ROWS`` rows, so memory beyond the scores is bounded by the
-        block at any pool size."""
+        block at any pool size.  The blocks share one workspace, allocated
+        once per call."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or len(X) <= _SCORE_ROWS:  # the cache checks the shape
             return self._forward_cache(X)[0]
+        work = self._score_workspace(_SCORE_ROWS)
         out = np.empty(len(X))
         for start in range(0, len(X), _SCORE_ROWS):
             block = slice(start, start + _SCORE_ROWS)
-            out[block] = self._forward_cache(X[block])[0]
+            out[block] = self._forward_cache(X[block], work)[0]
         return out
 
     def param_gradients(
@@ -332,6 +357,17 @@ class MlpSurrogate:
         return model
 
 
+def _check_finite(A: np.ndarray, layer: int, mask: np.ndarray | None) -> None:
+    """Raises FloatingPointError naming ``layer`` unless ``A`` is finite;
+    ``mask``, when given, is a flat bool workspace of at least ``A.size``
+    entries.  Its leading entries are taken as one contiguous array: with a
+    strided ``out``, numpy 2.4's ``isfinite`` leaves some entries unwritten."""
+    if mask is not None:
+        mask = mask[: A.size].reshape(A.shape)
+    if not np.isfinite(A, out=mask).all():
+        raise FloatingPointError(f"non-finite activation in layer {layer}")
+
+
 def _encode_array(a: np.ndarray) -> str:
     """Base64 of the array's little-endian float64 bytes in C order, taken
     from its buffer directly."""
@@ -407,48 +443,57 @@ _BLOCK = 32768
 class _Optimizer:
     """Adam over the surrogate parameters.
 
-    The optimizer owns one flat gradient buffer and one flat update buffer over
-    the parameters in the order W1, W2, W3, b1, b2, b3; Adam's two moments are
-    flat buffers in the same order.  ``grads`` holds per-parameter views of the
-    gradient buffer, for ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``
-    to write into, so a step at paper width allocates no parameter-sized
-    array.  Gradients that are not these views are copied in first.  A step
-    runs in two passes over fixed ``_BLOCK`` views of the buffers: the first
-    updates the moments, then one check over all of ``v`` runs before the
-    second writes the update.  Each parameter then subtracts its slice of the
-    update in place; the model's own arrays are never rebound.
+    The optimizer owns one flat gradient buffer over the parameters in the
+    order W1, W2, W3, b1, b2, b3; Adam's two moments are flat buffers in the
+    same order.  ``grads`` holds per-parameter views of the gradient buffer,
+    for ``MlpSurrogate.loss_and_grads(..., out=opt.grads)`` to write into.
+    Gradients that are not these views are copied in first.  A step runs in
+    two passes over fixed ``_BLOCK`` views of the buffers: the first updates
+    the moments, then one check over all of ``v`` runs before the second
+    computes each block's update into a block-sized scratch and subtracts it
+    in place from the flat views of the parameters that block covers.  There
+    is no parameter-sized update buffer, so a step at paper width allocates
+    nothing and keeps only the gradient and the two moments beside the
+    model; the model's own arrays are never rebound.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
         self.config = config
         self.t = 0
         params = model.weights + model.biases
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("parameters must be C-contiguous")
         ends = np.cumsum([p.size for p in params])
-        n = int(ends[-1])
+        spans = [(int(end) - p.size, int(end)) for p, end in zip(params, ends)]
+        n = spans[-1][1]
         self.grad = np.empty(n)
-        self.update = np.empty(n)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-
-        def views(flat):
-            return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
-
-        grad_views = views(self.grad)
+        grad_views = [self.grad[a:b].reshape(p.shape) for p, (a, b) in zip(params, spans)]
         self.grads = (grad_views[:3], grad_views[3:])
-        self._update_views = views(self.update)
-        scratch = np.empty(min(n, _BLOCK))
+        update, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         self._blocks = []
         for start in range(0, n, _BLOCK):
-            sl = slice(start, min(start + _BLOCK, n))
-            bufs = (self.grad[sl], self.m[sl], self.v[sl], self.update[sl])
-            self._blocks.append(bufs + (scratch[: sl.stop - start],))
+            stop = min(start + _BLOCK, n)
+            u = update[: stop - start]
+            # the flat slice of each parameter this block covers, beside the
+            # slice of the update that belongs to it
+            targets = []
+            for p, (a, b) in zip(params, spans):
+                lo, hi = max(start, a), min(stop, b)
+                if lo < hi:
+                    targets.append((p.reshape(-1)[lo - a : hi - a], u[lo - start : hi - start]))
+            sl = slice(start, stop)
+            bufs = (self.grad[sl], self.m[sl], self.v[sl], u, scratch[: stop - start])
+            self._blocks.append(bufs + (targets,))
 
     def step(
         self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
     ) -> bool:
         """Apply one update; return False, leaving the model untouched, when
         the second moment has overflowed (an inf entry would freeze its
-        parameter silently)."""
+        parameter silently).  ``model`` is the model the optimizer was built
+        for: the update goes into views of its arrays taken then."""
         cfg = self.config
         own_w, own_b = self.grads
         for g, dst in zip(grads_w + grads_b, own_w + own_b):
@@ -458,7 +503,7 @@ class _Optimizer:
         self.t += 1
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        for g, m, v, _, s in self._blocks:
+        for g, m, v, _, s, _ in self._blocks:
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
@@ -466,13 +511,13 @@ class _Optimizer:
             v += np.multiply(1 - b2, s, out=s)
         if not np.isfinite(self.v).all():
             return False
-        for _, m, v, u, s in self._blocks:
+        for _, m, v, u, s, targets in self._blocks:
             np.divide(m, corr1, out=u)
             u *= cfg.learning_rate
             np.divide(v, corr2, out=s)
             np.sqrt(s, out=s)
             s += cfg.adam_eps
             u /= s
-        for p, u in zip(model.weights + model.biases, self._update_views):
-            p -= u
+            for p, u_part in targets:
+                p -= u_part
         return True

@@ -1,18 +1,22 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import cdist
 
+from rankmbo import diagnostics
 from rankmbo.diagnostics import (
     EvalPool,
     audit_marginal_decomposition,
     audit_mse_to_rank,
     build_ranking_report,
     make_eval_pool,
+    manifold_diameter,
     manifold_distances,
     product_pairs,
     ranking_error,
@@ -531,6 +535,80 @@ class TestAuditMseToRank:
             assert rep.applicable and rep.holds
 
 
+@st.composite
+def diameter_sets(draw):
+    """Point sets in 1 to 6 dimensions with 1 point and up, duplicates and,
+    on integer grids, collinear and coplanar points and flat sets."""
+    d = draw(st.integers(1, 6))
+    coord = st.integers(-3, 3).map(float) if draw(st.booleans()) else coords
+    point = st.lists(coord, min_size=d, max_size=d)
+    M = draw(st.lists(point, min_size=1, max_size=60))
+    M += draw(st.lists(st.sampled_from(M), max_size=8))
+    return np.array(M, dtype=float)
+
+
+def brute_force_diameter(M):
+    return float(cdist(M, M).max())
+
+
+class TestManifoldDiameter:
+    @settings(max_examples=400, deadline=None)
+    @given(diameter_sets())
+    def test_equals_brute_force(self, M):
+        assert manifold_diameter(M) == brute_force_diameter(M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_few_points(self, n, dim):
+        M = np.random.default_rng(n * 10 + dim).normal(size=(n, dim))
+        assert manifold_diameter(M) == brute_force_diameter(M)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]),  # collinear
+            np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 3, 0], [1, 1, 0]], float),
+            np.c_[np.random.default_rng(0).normal(size=(40, 3)), np.zeros(40)],
+        ],
+        ids=["collinear-2d", "coplanar-3d", "flat-4d"],
+    )
+    def test_flat_sets_fall_back_to_every_point(self, M):
+        with pytest.raises(QhullError):
+            ConvexHull(M, qhull_options="Qc")
+        assert manifold_diameter(M) == brute_force_diameter(M)
+
+    @pytest.mark.parametrize("dim", [1, 5, 6])
+    def test_outside_hull_dims_scans_every_point(self, dim, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("qhull must not run outside 2-4 dimensions")
+
+        monkeypatch.setattr(diagnostics, "ConvexHull", refuse)
+        M = np.random.default_rng(dim).normal(size=(300, dim))
+        assert manifold_diameter(M) == brute_force_diameter(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_manifold_rejected(self, bad):
+        # a NaN distance used to drop out of the running maximum, so the
+        # diameter read 0.0
+        M = np.array([[0.0, 0.0], [bad, 1.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="manifold must be finite"):
+            manifold_diameter(M)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_large_set_scans_only_the_hull(self, dim):
+        # the chunked scan over all 3000 points held a 666 x 3000 distance
+        # block (16 MB); the hull has at most a few hundred points
+        M = np.random.default_rng(dim).uniform(-5.0, 5.0, size=(3000, dim))
+        tracemalloc.start()
+        try:
+            got = manifold_diameter(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert got == brute_force_diameter(M)
+
+
 class TestAuditMarginalDecomposition:
     def test_identical_samples_zero_both_sides(self):
         rng = np.random.default_rng(14)
@@ -554,6 +632,18 @@ class TestAuditMarginalDecomposition:
             samples = [rng.normal(size=(8, 2)) for _ in range(4)]
             rep = audit_marginal_decomposition(*samples)
             assert rep.holds
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 16), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_product_measures_make_it_an_identity(self, n, dim, seed):
+        # for product measures and an additive pair cost, the projections of
+        # an optimal coupling give lhs >= rhs and the product of the two
+        # optimal marginal couplings gives lhs <= rhs
+        rng = np.random.default_rng(seed)
+        samples = [rng.normal(size=(n, dim)) for _ in range(4)]
+        samples[1][: n // 2] = samples[3][: n // 2]  # some zero-cost atoms
+        rep = audit_marginal_decomposition(*samples)
+        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-9, abs=0.0)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

@@ -339,6 +339,12 @@ class TestRun:
         assert manifest["peak_rss_mb"] > 0.0
         assert set(manifest["blas_thread_env"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
+    def test_manifest_counts_minor_page_faults(self, run_dir):
+        out, manifest = run_dir
+        on_disk = json.loads((out / "manifest.json").read_text())
+        for faults in (manifest["minor_page_faults"], on_disk["minor_page_faults"]):
+            assert type(faults) is int and faults >= 0
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out, _ = run_dir
         cfg = parse_config(FAST_CFG)

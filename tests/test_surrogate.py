@@ -334,6 +334,117 @@ class TestBlockedScoring:
                 m.forward_batch(X)
 
 
+class TestScoreWorkspace:
+    """``forward_batch`` passes one workspace to every block; each pass
+    written into it must equal the allocating pass over the same block."""
+
+    BLOCK = 64
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "_SCORE_ROWS", self.BLOCK)
+
+    @blocked_settings
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.sampled_from([1, 2, 7, 16]),
+        hidden2=st.sampled_from([1, 3, 16]),
+        n=st.integers(BLOCK + 1, 5 * BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_workspace_passes_equal_allocating_passes(self, dim, hidden, hidden2, n, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(dim, hidden, seed)
+        # unequal hidden widths, so the finite mask is sliced per layer
+        m.weights[1] = rng.normal(size=(hidden2, hidden))
+        m.biases[1] = rng.normal(size=hidden2)
+        m.weights[2] = rng.normal(size=(1, hidden2))
+        X = rng.normal(scale=3.0, size=(n, dim))
+        work = m._score_workspace(self.BLOCK)
+        blocks = []
+        for start in range(0, n, self.BLOCK):
+            block = X[start : start + self.BLOCK]
+            ref_scores, ref_cache = m._forward_cache(block)
+            scores, cache = m._forward_cache(block, work)
+            assert same_bits(scores, ref_scores)
+            for a, b in zip(cache, ref_cache):
+                assert same_bits(a, b)
+            blocks.append(ref_scores)
+        assert same_bits(m.forward_batch(X), np.concatenate(blocks))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @blocked_settings
+    @given(
+        widths=st.sampled_from([(1, 4), (4, 1), (3, 3)]),
+        layer=st.integers(1, 3),
+        n=st.integers(BLOCK + 1, 4 * BLOCK),
+        data=st.data(),
+    )
+    def test_nonfinite_in_any_row_raises_with_layer(self, widths, layer, n, data):
+        # each layer's finite check reuses the one mask, so a row the check
+        # failed to write would keep the previous layer's verdict
+        h1, h2 = widths
+        m = MlpSurrogate(
+            [np.ones((h1, 1)), np.ones((h2, h1)), np.ones((1, h2))],
+            [np.zeros(h1), np.zeros(h2), np.zeros(1)],
+        )
+        m.weights[layer - 1][0, 0] = 1e308
+        X = np.zeros((n, 1))
+        X[data.draw(st.integers(0, n - 1))] = 1e5
+        with pytest.raises(FloatingPointError, match=f"layer {layer}"):
+            m.forward_batch(X)
+
+    def test_one_workspace_per_call(self, monkeypatch):
+        m = init_surrogate(2, 4, seed=0)
+        X = np.random.default_rng(0).normal(size=(5 * self.BLOCK + 3, 2))
+        sizes = []
+        allocate = m._score_workspace
+
+        def counted(rows):
+            sizes.append(rows)
+            return allocate(rows)
+
+        monkeypatch.setattr(m, "_score_workspace", counted)
+        m.forward_batch(X)
+        m.forward_batch(X[: self.BLOCK])  # one block: the allocating pass
+        assert sizes == [self.BLOCK]
+
+
+class TestParameterLayout:
+    def test_parameters_are_c_contiguous(self):
+        w = [np.asfortranarray(a) for a in init_surrogate(3, 5, seed=0).weights]
+        m = MlpSurrogate(w, [np.zeros(5), np.zeros(5), np.zeros(1)])
+        for p in m.weights + m.biases:
+            assert p.flags.c_contiguous
+
+    def test_fortran_ordered_weights_train_bit_identically(self):
+        # 41201 parameters, so Adam's blocks split a weight matrix
+        ref = init_surrogate(3, 200, seed=1)
+        fortran = MlpSurrogate(
+            [np.asfortranarray(w) for w in ref.weights],
+            [b.copy() for b in ref.biases],
+            seed=1,
+        )
+        cfg = TrainConfig(learning_rate=1e-2)
+        rng = np.random.default_rng(4)
+        opts = [_Optimizer(model, cfg) for model in (ref, fortran)]
+        for _ in range(6):
+            X = rng.normal(size=(16, 3))
+            up = rng.normal(size=16)
+            for model, opt in zip((ref, fortran), opts):
+                _, grads = model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
+                assert opt.step(model, *grads)
+        assert not np.array_equal(ref.weights[1], init_surrogate(3, 200, seed=1).weights[1])
+        for a, b in zip(fortran.weights + fortran.biases, ref.weights + ref.biases):
+            assert same_bits(a, b)
+
+    def test_optimizer_rejects_non_contiguous_parameters(self):
+        m = init_surrogate(2, 4, seed=0)
+        m.weights[0] = np.asfortranarray(m.weights[0])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _Optimizer(m, TrainConfig())
+
+
 class TestParamGradients:
     def test_zero_upstream_gives_zero(self):
         m = init_surrogate(2, 4, seed=1)

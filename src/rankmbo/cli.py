@@ -2,6 +2,10 @@
 
 Subcommands mirror the pipeline stages (gen-data, train, search, diagnose),
 plus run (all stages), sweep (grid of runs), and compare (join manifests).
+Every command validates its config, flags included, before it writes.  Each
+staged command rebuilds the offline dataset from the config, as ``run`` does;
+the only file a stage reads is ``model.json`` (search, diagnose), so they also
+work in a ``run`` directory.  ``manifest.json`` is written by ``run`` alone.
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
 """
 
@@ -13,12 +17,14 @@ import sys
 from pathlib import Path
 
 from .artifacts import write_json
-from .config import PROFILES, ValidationError, apply_profile, load_config, reseed
-from .harness import compare, error_record, run, save_compare_rows, sweep
+from .config import PROFILES, ValidationError, apply_profile, load_config, reseed, validate
+from .diagnostics import save_bound_reports, save_radius_rows, save_report_summary
+from .harness import build_dataset, compare, error_record, run, run_diagnostics
+from .harness import run_search, save_compare_rows, sweep, train_model
 from .objectives import save_loss_trace
 from .search import save_search_result
 from .surrogate import load_model, save_model
-from .tasks import load_dataset, save_dataset
+from .tasks import save_dataset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,31 +66,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    """The config with the profile and seed flags applied, validated before
+    any command writes."""
     cfg = load_config(args.config)
     apply_profile(cfg, args.profile)
     if args.seed is not None:
         reseed(cfg, args.seed)
+    validate(cfg)
     return cfg
 
 
-def _cmd_gen_data(args) -> int:
-    from .harness import build_dataset
-
+def _stage(args, trained: bool):
+    """A staged command's validated config, output directory, dataset and,
+    when ``trained``, the model of ``model.json``; ``--out`` is made only
+    once the config has validated and the model has loaded."""
     cfg = _load(args)
     out = Path(args.out)
+    model = load_model(out / "model.json") if trained else None
     out.mkdir(parents=True, exist_ok=True)
-    _, dataset = build_dataset(cfg)
-    save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
+    return cfg, out, build_dataset(cfg)[1], model
+
+
+def _cmd_gen_data(args) -> int:
+    _, out, dataset, _ = _stage(args, trained=False)
+    save_dataset(dataset, out / "dataset.csv")
     print(f"wrote {out / 'dataset.csv'} ({len(dataset)} points)")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    from .harness import train_model
-
-    cfg = _load(args)
-    out = Path(args.out)
-    dataset = load_dataset(out / "dataset.csv", out / "dataset.json")
+    cfg, out, dataset, _ = _stage(args, trained=False)
     model, trace = train_model(cfg, dataset)
     save_model(model, out / "model.json")
     save_loss_trace(trace, out / "loss_trace.csv")
@@ -93,12 +104,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .harness import run_search
-
-    cfg = _load(args)
-    out = Path(args.out)
-    dataset = load_dataset(out / "dataset.csv", out / "dataset.json")
-    model = load_model(out / "model.json")
+    cfg, out, dataset, model = _stage(args, trained=True)
     result = run_search(cfg, model, dataset)
     save_search_result(result, out / "search.csv", out / "search.json")
     print(f"best true {result.best_true:.6g}, normalized {result.best_normalized:.4f}")
@@ -106,13 +112,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import save_bound_reports, save_radius_rows, save_report_summary
-    from .harness import run_diagnostics
-
-    cfg = _load(args)
-    out = Path(args.out)
-    dataset = load_dataset(out / "dataset.csv", out / "dataset.json")
-    model = load_model(out / "model.json")
+    cfg, out, dataset, model = _stage(args, trained=True)
     report, audits = run_diagnostics(cfg, model, dataset)
     save_radius_rows(report.rows, out / "diagnostics.csv")
     save_report_summary(report, out / "diagnostics.json")
@@ -140,7 +140,10 @@ def _cmd_sweep(args) -> int:
             raise ValidationError(axis, "expected PATH=V1,V2,...")
         path, values = axis.split("=", 1)
         grid[path.strip()] = [v.strip() for v in values.split(",") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ValidationError("seeds", f"cannot parse {args.seeds!r} as integers")
     rows = sweep(cfg, grid, seeds, args.out)
     print(f"sweep complete: {len(rows)} cells x {len(seeds)} seeds")
     return EXIT_OK

@@ -18,15 +18,10 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .diagnostics import (
-    _check_eval_pool,
-    _check_mse_rank_audit_trials,
-    _check_radii,
-    _check_w1_sample_size,
-)
+from .diagnostics import _check_eval_pool, _check_radii, _check_w1_sample_size
 from .objectives import DarConfig, get_objective
 from .search import SearchConfig
-from .tasks import ValidationError, _check_pool, get_task
+from .tasks import ValidationError, _check_non_negative, _check_pool, _check_seed, get_task
 
 __all__ = [
     "ValidationError",
@@ -63,6 +58,7 @@ class TaskBlock:
     def __post_init__(self) -> None:
         get_task(self.name)
         _check_pool(self.pool_size, self.keep_fraction, self.noise_std)
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -96,9 +92,9 @@ class DiagnosticsBlock:
         _check_eval_pool(self.eval_pool_size, self.eval_near_fraction)
         _check_radii(self.radii)
         _check_w1_sample_size(self.w1_sample_size)
-        _check_mse_rank_audit_trials(self.mse_rank_audit_trials)
-        if self.marginal_audit_trials < 0:
-            raise ValidationError("marginal_audit_trials", "must be non-negative")
+        _check_non_negative("mse_rank_audit_trials", self.mse_rank_audit_trials)
+        _check_non_negative("marginal_audit_trials", self.marginal_audit_trials)
+        _check_seed(self.seed)
 
 
 @dataclass

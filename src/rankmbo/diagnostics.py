@@ -227,12 +227,14 @@ def manifold_diameter(manifold: np.ndarray) -> float:
 
 
 def _check_radii(radii) -> list[float]:
-    """Radii as floats; there must be at least one, positive and strictly
-    ascending, so the restricted sets are nested.  Raises ValidationError
-    naming ``radii``."""
+    """Radii as floats; there must be at least one, positive, not NaN and
+    strictly ascending, so the restricted sets are nested (``inf`` is the
+    unrestricted radius).  Raises ValidationError naming ``radii``."""
     radii = [float(r) for r in radii]
     if not radii:
         raise ValidationError("radii", "radii must list at least one radius")
+    if any(math.isnan(r) for r in radii):
+        raise ValidationError("radii", "radii must not be NaN")
     if any(r <= 0.0 for r in radii):
         raise ValidationError("radii", "radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -379,13 +381,6 @@ def product_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     out[:, 0, :] = np.repeat(first, m, axis=0)
     out[:, 1, :] = np.tile(second, (n, 1))
     return out
-
-
-def _check_mse_rank_audit_trials(trials: int) -> None:
-    """Raises ValidationError naming ``mse_rank_audit_trials`` when the
-    number of ``audit_mse_to_rank`` trials a run makes is negative."""
-    if trials < 0:
-        raise ValidationError("mse_rank_audit_trials", "must be non-negative")
 
 
 def audit_mse_to_rank(

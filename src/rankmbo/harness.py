@@ -280,8 +280,11 @@ def sweep(
     the summary and recorded in failures.json as its cell index and seed plus
     its ``error_record``.  Returns (and writes to summary.csv) one row per
     cell with the mean and standard deviation of the best normalized score
-    across usable seeds.
+    across usable seeds.  An empty ``seeds`` raises ValidationError naming
+    ``seeds`` before the sweep directory is made.
     """
+    if not seeds:
+        raise ValidationError("seeds", "must list at least one seed")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axes = list(grid.items())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .surrogate import MlpSurrogate, TrainConfig, _Optimizer, zscore_adapt
-from .tasks import OfflineDataset, ValidationError
+from .tasks import OfflineDataset, ValidationError, _check_non_negative
 
 __all__ = [
     "OBJECTIVES",
@@ -92,8 +92,7 @@ class RankConfig(TrainConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.margin < 0.0:
-            raise ValidationError("margin", "must be non-negative")
+        _check_non_negative("margin", self.margin)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .surrogate import MlpSurrogate
 from .tasks import OfflineDataset, ValidationError, normalized_score
+from .tasks import _check_non_negative, _check_seed
 from .objectives import PartitionedDataset
 
 __all__ = [
@@ -42,12 +43,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.step_size < 0.0:
-            raise ValidationError("step_size", "must be non-negative")
-        if self.steps < 0:
-            raise ValidationError("steps", "must be non-negative")
+        _check_non_negative("step_size", self.step_size)
+        _check_non_negative("steps", self.steps)
         if self.num_candidates < 1:
             raise ValidationError("num_candidates", "must be at least 1")
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .tasks import ValidationError
+from .tasks import ValidationError, _check_non_negative, _check_seed
 
 __all__ = [
     "TrainConfig",
@@ -103,8 +103,8 @@ class TrainConfig:
             raise ValidationError("iterations", "must be at least 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size", "must be at least 1")
-        if self.learning_rate < 0.0:
-            raise ValidationError("learning_rate", "must be non-negative")
+        _check_non_negative("learning_rate", self.learning_rate)
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -5,11 +5,13 @@ pipeline uniformly maximizes.  Offline datasets follow the worst-fraction
 protocol: sample a pool uniformly inside the feasible box, evaluate the true
 objective, and keep only the lowest-scoring fraction, which creates a
 deliberate shift between the training data and the region of the true optima.
+The task name, pool size, keep fraction, noise and seed fully determine that
+draw, so a dataset is rebuilt from them rather than read back; ``save_dataset``
+writes it as CSV for inspection only.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv
 
 __all__ = [
     "ValidationError",
@@ -31,7 +33,6 @@ __all__ = [
     "make_offline_dataset",
     "normalized_score",
     "save_dataset",
-    "load_dataset",
     "BRANIN_MAXIMIZERS",
     "BRANIN_MAX_VALUE",
 ]
@@ -200,6 +201,22 @@ def get_task(name: str) -> TaskSpec:
     return _TASK_FACTORIES[name]()
 
 
+def _check_non_negative(field_name: str, value: float) -> None:
+    """Raises ValidationError naming ``field_name`` unless ``value`` is finite
+    and at least 0; NaN and infinity fail."""
+    if not math.isfinite(value):
+        raise ValidationError(field_name, "must be finite")
+    if value < 0:
+        raise ValidationError(field_name, "must be non-negative")
+
+
+def _check_seed(seed: int | None) -> None:
+    """A seed must be non-negative; ``None`` passes, a section seed derived
+    from the task seed."""
+    if seed is not None:
+        _check_non_negative("seed", seed)
+
+
 def _check_pool(pool_size: int, keep_fraction: float, noise_std: float) -> int:
     """The number of designs kept; raises ValidationError naming the bad
     argument."""
@@ -212,8 +229,7 @@ def _check_pool(pool_size: int, keep_fraction: float, noise_std: float) -> int:
         raise ValidationError(
             "keep_fraction", f"keeps {keep} of {pool_size} designs, fewer than 2"
         )
-    if noise_std < 0.0:
-        raise ValidationError("noise_std", "must be non-negative")
+    _check_non_negative("noise_std", noise_std)
     return keep
 
 
@@ -270,18 +286,16 @@ def normalized_score(y, dataset: OfflineDataset):
     return (y - lo) / span
 
 
-def save_dataset(
-    dataset: OfflineDataset, csv_path: str | Path, sidecar_path: str | Path | None = None
-) -> None:
-    """Write the dataset as CSV (x0..x{d-1},y) plus an optional JSON sidecar."""
+def save_dataset(dataset: OfflineDataset, csv_path: str | Path) -> None:
+    """Write the dataset as CSV, header x0..x{d-1},y."""
     header = [f"x{i}" for i in range(dataset.task.dim)] + ["y"]
     rows = np.column_stack([dataset.designs, dataset.scores]).tolist()
     write_csv(csv_path, header, rows)
-    if sidecar_path is not None:
-        write_json(sidecar_path, dataset_sidecar(dataset))
 
 
 def dataset_sidecar(dataset: OfflineDataset) -> dict:
+    """The facts that fix the dataset draw plus its pool extrema, as
+    ``manifest.json`` records them."""
     return {
         "task": dataset.task.name,
         "seed": dataset.seed,
@@ -292,20 +306,3 @@ def dataset_sidecar(dataset: OfflineDataset) -> dict:
         "y_max_full": dataset.y_max_full,
     }
 
-
-def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> OfflineDataset:
-    """Rebuild a dataset from its CSV and sidecar (task looked up by name)."""
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    return OfflineDataset(
-        designs=data[:, :-1],
-        scores=data[:, -1],
-        task=get_task(meta["task"]),
-        seed=meta["seed"],
-        pool_size=meta["pool_size"],
-        keep_fraction=meta["keep_fraction"],
-        noise_std=meta.get("noise_std", 0.0),
-        y_min_full=meta["y_min_full"],
-        y_max_full=meta["y_max_full"],
-    )

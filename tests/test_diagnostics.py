@@ -289,8 +289,22 @@ class TestRadiusSweep:
                 run([-1.0])
             with pytest.raises(ValueError, match="positive"):
                 run([0.0, 1.0])
+            with pytest.raises(ValueError, match="NaN"):
+                run([float("nan")])
+            with pytest.raises(ValueError, match="NaN"):
+                run([1.0, float("nan")])
             with pytest.raises(ValueError, match="at least one radius"):
                 run(())
+
+    def test_infinite_radius_is_unrestricted(self):
+        task, ds, pool = self._setup()
+        rows = ranking_error_vs_radius(
+            task.evaluate_batch, pool, ds.designs, [0.5, float("inf")]
+        )
+        assert rows[-1].n_restricted == len(pool.sub_idx)
+        assert rows[-1].error == ranking_error(
+            task.evaluate_batch, pool.near_designs, pool.sub_designs
+        )
 
     def test_bad_radii_name_field(self):
         task, ds, pool = self._setup()

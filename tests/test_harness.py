@@ -74,27 +74,38 @@ BAD_VALUES = [
     ("task.keep_fraction", "1.5"),
     ("task.keep_fraction", "0.0001"),
     ("task.noise_std", "-1.0"),
+    ("task.noise_std", "nan"),
+    ("task.seed", "-1"),
     ("train.objective", "foo"),
     ("train.hidden", "0"),
     ("train.iterations", "0"),
     ("train.iterations", "abc"),
     ("train.batch_size", "0"),
     ("train.learning_rate", "-0.1"),
+    ("train.learning_rate", "nan"),
+    ("train.learning_rate", "inf"),
     ("train.margin", "-0.1"),
+    ("train.margin", "nan"),
+    ("train.seed", "-1"),
     ("train.near_fraction", "0.0"),
     ("train.near_fraction", "1.0"),
     ("train.intra_ratio", "-0.1"),
     ("train.intra_ratio", "1.5"),
     ("search.step_size", "-0.1"),
+    ("search.step_size", "inf"),
+    ("search.seed", "-1"),
     ("search.steps", "-1"),
     ("search.num_candidates", "0"),
     ("diagnostics.eval_pool_size", "1"),
     ("diagnostics.eval_near_fraction", "0.0"),
     ("diagnostics.radii", "2.0, 1.0"),
+    ("diagnostics.radii", "nan"),
+    ("diagnostics.radii", "1.0, nan"),
     ("diagnostics.w1_sample_size", "0"),
     ("diagnostics.w1_sample_size", "513"),
     ("diagnostics.mse_rank_audit_trials", "-1"),
     ("diagnostics.marginal_audit_trials", "-1"),
+    ("diagnostics.seed", "-1"),
 ]
 
 # one bad key per section for the CLI, as (field, line in FAST_CFG, replacement)
@@ -477,6 +488,13 @@ class TestSweep:
         )
         assert manifest["objective"] == "mse"
 
+    def test_empty_seed_list_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(parse_config(FAST_CFG), {}, [], out)
+        assert excinfo.value.field == "seeds"
+        assert not out.exists()
+
 
 class TestAtomicWrites:
     WRITERS = {
@@ -665,7 +683,7 @@ class TestCli:
             proc = self._cli(stage, "--config", str(cfg_file), "--out", str(out))
             assert proc.returncode == 0, (stage, proc.stderr)
         for name in (
-            "dataset.csv", "dataset.json", "model.json", "loss_trace.csv",
+            "dataset.csv", "model.json", "loss_trace.csv",
             "search.csv", "search.json", "diagnostics.csv", "diagnostics.json",
         ):
             assert (out / name).exists(), name
@@ -677,11 +695,25 @@ class TestCli:
             if name != "manifest.json":
                 assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
-    def test_train_without_dataset_is_runtime_error(self, tmp_path):
+    def test_search_without_model_is_runtime_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(FAST_CFG)
-        proc = self._cli("train", "--config", str(cfg_file), "--out", str(tmp_path / "nope"))
+        proc = self._cli("search", "--config", str(cfg_file), "--out", str(tmp_path / "nope"))
         assert proc.returncode == 2
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert err["stage"] == "search"
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("seeds", ["x", ",", "0,y"])
+    def test_bad_sweep_seeds_exit_one_before_writing(self, tmp_path, seeds):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "sw"
+        proc = self._cli("sweep", "--config", str(cfg_file), "--out", str(out), "--seeds", seeds)
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert (err["field"], err["stage"]) == ("seeds", "sweep")
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -740,10 +772,56 @@ class TestCliMain:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(FAST_CFG)
         out = tmp_path / "out"
-        out.mkdir()  # no dataset.csv to train on
-        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
+        out.mkdir()  # no model.json to search with
+        assert main(["search", "--config", str(cfg_file), "--out", str(out)]) == 2
         printed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         record = json.loads((out / "error.json").read_text())
         assert record == printed
-        assert (record["error"], record["stage"]) == ("FileNotFoundError", "train")
+        assert (record["error"], record["stage"]) == ("FileNotFoundError", "search")
         assert "field" not in record
+
+    def test_search_and_diagnose_in_a_run_directory_reproduce_it(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        names = ("search.csv", "search.json", "diagnostics.csv")
+        before = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
+        for stage in ("search", "diagnose"):
+            assert main([stage, "--config", str(cfg_file), "--out", str(out)]) == 0, stage
+        for name in names:
+            assert (out / name).read_bytes() == before[name], name
+
+    def test_train_needs_no_gen_data(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 0
+        out = tmp_path / "fresh" / "train"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["loss_trace.csv", "model.json"]
+        for name in ("loss_trace.csv", "model.json"):
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("field, value", BAD_VALUES)
+    def test_staged_bad_value_exit_one_before_writing(self, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        for command in ("gen-data", "train", "search", "diagnose"):
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+            assert not out.exists()
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["field"], err["stage"]) == (field, command)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "run"])
+    def test_negative_seed_flag_names_task_seed(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out", str(out), "--seed", "-3"]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["field"] == "task.seed"

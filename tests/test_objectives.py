@@ -26,7 +26,7 @@ from rankmbo.objectives import (
     _draw_ranked_direct,
 )
 from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate
-from rankmbo.tasks import OfflineDataset, quadratic_bowl_task
+from rankmbo.tasks import OfflineDataset, ValidationError, quadratic_bowl_task
 
 
 def brute_force_partition(scores, near_fraction):
@@ -474,6 +474,22 @@ class TestTrainDar:
             DarConfig(intra_ratio=-0.1)
         with pytest.raises(ValueError):
             RankConfig(margin=-1.0)
+
+    @pytest.mark.parametrize(
+        "config_cls, field, value",
+        [
+            (TrainConfig, "learning_rate", math.nan),
+            (TrainConfig, "learning_rate", math.inf),
+            (TrainConfig, "seed", -1),
+            (RankConfig, "margin", math.nan),
+            (RankConfig, "margin", math.inf),
+            (DarConfig, "seed", -1),
+        ],
+    )
+    def test_non_finite_value_or_negative_seed_names_field(self, config_cls, field, value):
+        with pytest.raises(ValidationError) as excinfo:
+            config_cls(**{field: value})
+        assert excinfo.value.field == field
 
 
 def test_save_loss_trace(tmp_path):

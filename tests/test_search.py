@@ -14,7 +14,7 @@ from rankmbo.search import (
     score_candidates,
 )
 from rankmbo.surrogate import init_surrogate, zscore_adapt
-from rankmbo.tasks import OfflineDataset, quadratic_bowl_task
+from rankmbo.tasks import OfflineDataset, ValidationError, quadratic_bowl_task
 
 
 class ExactBowl:
@@ -285,3 +285,12 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(num_candidates=0)
     SearchConfig(step_size=0.0)  # a zero step is a legitimate degenerate search
+
+
+@pytest.mark.parametrize(
+    "field, value", [("step_size", np.inf), ("step_size", np.nan), ("seed", -1)]
+)
+def test_search_config_rejects_non_finite_step_and_negative_seed(field, value):
+    with pytest.raises(ValidationError) as excinfo:
+        SearchConfig(**{field: value})
+    assert excinfo.value.field == field

@@ -8,14 +8,14 @@ fraction of a uniform pool, so the region of the true optima is unobserved.
 import numpy as np
 
 from rankmbo import branin_task, make_offline_dataset, normalized_score
-from rankmbo.tasks import BRANIN_MAXIMIZERS, eval_branin
+from rankmbo.tasks import BRANIN_MAXIMIZERS
 
 task = branin_task()
 print(f"task: {task.name}, box {task.lower} .. {task.upper}")
 
 # The negated Branin function has three global maximizers with equal value.
-for x in BRANIN_MAXIMIZERS:
-    print(f"  value at {np.round(x, 5)}: {eval_branin(np.array(x)):+.6f}")
+for x, value in zip(BRANIN_MAXIMIZERS, task.evaluate_batch(BRANIN_MAXIMIZERS)):
+    print(f"  value at {np.round(x, 5)}: {value:+.6f}")
 
 # Build the offline dataset: sample 5000 designs uniformly, keep the worst 60%.
 dataset = make_offline_dataset(task, pool_size=5000, keep_fraction=0.6, seed=0)

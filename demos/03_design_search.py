@@ -28,7 +28,6 @@ class ExactBowl:
 
     def __init__(self, center):
         self.center = np.asarray(center, dtype=float)
-        self.x_mean = np.zeros_like(self.center)
         self.x_std = np.ones_like(self.center)
 
     def value_batch(self, X):

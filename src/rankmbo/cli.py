@@ -18,12 +18,12 @@ from pathlib import Path
 
 from .artifacts import write_json
 from .config import PROFILES, ValidationError, apply_profile, load_config, reseed, validate
-from .diagnostics import save_bound_reports, save_radius_rows, save_report_summary
+from .diagnostics import save_report_summary
 from .harness import build_dataset, compare, error_record, run, run_diagnostics
-from .harness import run_search, save_compare_rows, sweep, train_model
-from .objectives import save_loss_trace
+from .harness import run_search, save_compare_rows, save_diagnostics, save_training
+from .harness import sweep, train_model
 from .search import save_search_result
-from .surrogate import load_model, save_model
+from .surrogate import load_model
 from .tasks import save_dataset
 
 EXIT_OK = 0
@@ -97,8 +97,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg, out, dataset, _ = _stage(args, trained=False)
     model, trace = train_model(cfg, dataset)
-    save_model(model, out / "model.json")
-    save_loss_trace(trace, out / "loss_trace.csv")
+    save_training(out, model, trace)
     print(f"trained {cfg.train.objective} surrogate; final loss {trace[-1]:.6g}")
     return EXIT_OK
 
@@ -114,10 +113,8 @@ def _cmd_search(args) -> int:
 def _cmd_diagnose(args) -> int:
     cfg, out, dataset, model = _stage(args, trained=True)
     report, audits = run_diagnostics(cfg, model, dataset)
-    save_radius_rows(report.rows, out / "diagnostics.csv")
+    save_diagnostics(out, report, audits)
     save_report_summary(report, out / "diagnostics.json")
-    for name, reports in audits.items():
-        save_bound_reports(reports, out / f"audit_{name}.csv")
     print(f"overall ranking error {report.overall_error:.4f}")
     return EXIT_OK
 

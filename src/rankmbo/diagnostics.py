@@ -61,6 +61,7 @@ __all__ = [
 ASSIGNMENT_CAP = 512
 # manifold_diameter reduces the set to its convex hull up to this dimension
 _HULL_MAX_DIM = 4
+# the slack of every audit's lhs <= rhs check, for rounding in the two sides
 AUDIT_TOL = 1e-9
 
 
@@ -389,7 +390,6 @@ def audit_mse_to_rank(
     sub: np.ndarray,
     f_near: np.ndarray,
     f_sub: np.ndarray,
-    tol: float = AUDIT_TOL,
 ) -> BoundReport:
     """Check ranking error <= (4 / gap^2) * (near MSE + sub MSE) against truth.
 
@@ -412,9 +412,8 @@ def audit_mse_to_rank(
     mse_near = float(np.mean((h_near - f_near) ** 2))
     mse_sub = float(np.mean((h_sub - f_sub) ** 2))
     rhs = 4.0 / gap**2 * (mse_near + mse_sub)
-    return BoundReport(
-        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol), applicable=True, value_gap=gap
-    )
+    holds = bool(lhs <= rhs + AUDIT_TOL)
+    return BoundReport(lhs=lhs, rhs=rhs, holds=holds, applicable=True, value_gap=gap)
 
 
 def audit_marginal_decomposition(
@@ -422,7 +421,6 @@ def audit_marginal_decomposition(
     sub_sample: np.ndarray,
     mu_sample: np.ndarray,
     nu_sample: np.ndarray,
-    tol: float = AUDIT_TOL,
 ) -> BoundReport:
     """Check pair-metric W1 of the two product measures against the sum of
     the marginal W1 distances.
@@ -445,7 +443,8 @@ def audit_marginal_decomposition(
     training = product_pairs(mu_s, nu_s)
     lhs = wasserstein1_assignment(target, training, metric="pair", max_points=n * n)
     rhs = wasserstein1_assignment(near_s, mu_s) + wasserstein1_assignment(sub_s, nu_s)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol), applicable=True)
+    holds = bool(lhs <= rhs + AUDIT_TOL)
+    return BoundReport(lhs=lhs, rhs=rhs, holds=holds, applicable=True)
 
 
 def save_radius_rows(rows: list[RadiusRow], path: str | Path) -> None:

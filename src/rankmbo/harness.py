@@ -7,7 +7,10 @@ the same config the numeric artifacts are byte-identical across runs; only the
 manifest differs (its timings, peak memory and page faults).  Every artifact,
 the ``sweep`` summary and the ``compare`` table included, is written
 atomically by ``artifacts.write_csv`` or ``artifacts.write_json``, so all CSV
-files share one cell format.
+files share one cell format.  ``save_training`` and ``save_diagnostics`` are
+the writers of the train and diagnostics stages; ``run`` and the staged
+``train`` and ``diagnose`` commands both call them, so the files a stage
+writes are named here alone.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = [
     "train_model",
     "run_search",
     "run_diagnostics",
+    "save_training",
+    "save_diagnostics",
     "run",
     "sweep",
     "compare",
@@ -158,6 +163,24 @@ def _marginal_audits(pool, dataset, trials, seed, n=16):
     return reports
 
 
+def save_training(out: Path, model, trace) -> None:
+    """Write the train stage's artifacts into ``out``: model.json and
+    loss_trace.csv."""
+    save_model(model, out / "model.json")
+    save_loss_trace(trace, out / "loss_trace.csv")
+
+
+def save_diagnostics(out: Path, report, audits: dict) -> list[str]:
+    """Write the diagnostics stage's artifacts into ``out``: diagnostics.csv
+    and one audit_<name>.csv per audit; returns the audit file names."""
+    save_radius_rows(report.rows, out / "diagnostics.csv")
+    names = []
+    for name, reports in audits.items():
+        names.append(f"audit_{name}.csv")
+        save_bound_reports(reports, out / names[-1])
+    return names
+
+
 @contextmanager
 def _timed(stage_s: dict, stage: str):
     """Adds the wall time of the block to ``stage_s[stage]``."""
@@ -207,8 +230,7 @@ def run(
     with _timed(stage_s, "train"):
         model, trace = train_model(cfg, dataset)
     with _timed(stage_s, "write"):
-        save_model(model, out / "model.json")
-        save_loss_trace(trace, out / "loss_trace.csv")
+        save_training(out, model, trace)
 
     with _timed(stage_s, "search"):
         result = run_search(cfg, model, dataset)
@@ -218,21 +240,15 @@ def run(
     with _timed(stage_s, "diagnostics"):
         report, audits = run_diagnostics(cfg, model, dataset)
     with _timed(stage_s, "write"):
-        save_radius_rows(report.rows, out / "diagnostics.csv")
-    artifacts = list(RUN_ARTIFACTS)
-    audit_summary = {}
-    for name, reports in audits.items():
-        fname = f"audit_{name}.csv"
-        with _timed(stage_s, "write"):
-            save_bound_reports(reports, out / fname)
-        artifacts.append(fname)
-        audit_summary[name] = {
+        audit_files = save_diagnostics(out, report, audits)
+    audit_summary = {
+        name: {
             "trials": len(reports),
-            "violations": sum(
-                1 for r in reports if r.applicable and not r.holds
-            ),
+            "violations": sum(1 for r in reports if r.applicable and not r.holds),
             "inapplicable": sum(1 for r in reports if not r.applicable),
         }
+        for name, reports in audits.items()
+    }
 
     manifest = {
         "version": f"rankmbo-{__version__}",
@@ -247,7 +263,7 @@ def run(
             "best_normalized": result.best_normalized,
         },
         "diagnostics": {**report_summary(report), "audits": audit_summary},
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted([*RUN_ARTIFACTS, *audit_files]),
         "stage_s": stage_s,
         "peak_rss_mb": _peak_rss_mb(),
         "minor_page_faults": _minor_page_faults() - faults_before,
@@ -280,24 +296,30 @@ def sweep(
     the summary and recorded in failures.json as its cell index and seed plus
     its ``error_record``.  Returns (and writes to summary.csv) one row per
     cell with the mean and standard deviation of the best normalized score
-    across usable seeds.  An empty ``seeds`` raises ValidationError naming
-    ``seeds`` before the sweep directory is made.
+    across usable seeds.
+
+    Each job reseeds the config from its seed, then sets its cell's grid
+    values, so a grid axis over a seed key (``task.seed``) wins over the
+    base seed for that key.  Every job config is built before the sweep
+    directory is made: an empty or negative ``seeds`` and a grid value that
+    cannot be set raise ValidationError and leave nothing behind.
     """
     if not seeds:
         raise ValidationError("seeds", "must list at least one seed")
+    if min(seeds) < 0:
+        raise ValidationError("seeds", f"must be non-negative, got {min(seeds)}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     axes = list(grid.items())
     cells = list(itertools.product(*(values for _, values in axes))) or [()]
 
     jobs = []
     for ci, cell in enumerate(cells):
         for seed in seeds:
-            job_cfg = copy.deepcopy(cfg)
+            job_cfg = reseed(copy.deepcopy(cfg), seed)
             for (path, _), value in zip(axes, cell):
                 set_by_path(job_cfg, path, value)
-            reseed(job_cfg, seed)
             jobs.append((ci, cell, seed, job_cfg, out / f"cell_{ci:03d}" / f"seed_{seed}"))
+    out.mkdir(parents=True, exist_ok=True)
 
     def _one(job):
         ci, cell, seed, job_cfg, job_dir = job

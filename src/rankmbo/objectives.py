@@ -68,7 +68,6 @@ class PartitionedDataset:
     threshold: float
     near_idx: np.ndarray
     sub_idx: np.ndarray
-    near_fraction: float
 
     @property
     def n_near(self) -> int:
@@ -129,9 +128,7 @@ def partition_scores(scores: np.ndarray, near_fraction: float) -> PartitionedDat
         raise ValueError(
             "suboptimal set is empty (all scores tie the threshold); partition undefined"
         )
-    return PartitionedDataset(
-        threshold=threshold, near_idx=near, sub_idx=sub, near_fraction=near_fraction
-    )
+    return PartitionedDataset(threshold=threshold, near_idx=near, sub_idx=sub)
 
 
 def partition(dataset: OfflineDataset, near_fraction: float) -> PartitionedDataset:
@@ -310,7 +307,7 @@ def _descend(
         if grads is None:
             raise TrainingDiverged(it)
         trace[it] = loss
-        if not opt.step(model, *grads):
+        if not opt.step():
             raise TrainingDiverged(
                 it, f"optimizer state became non-finite at iteration {it}"
             )

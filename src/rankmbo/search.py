@@ -72,7 +72,6 @@ class SurrogateObjective:
         if not model.is_adapted:
             raise RuntimeError("model has no adaptation constants; adapt it first")
         self.model = model
-        self.x_mean = model.x_mean
         self.x_std = model.x_std
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
@@ -99,9 +98,10 @@ def ascend(
     """Projected gradient ascent from each row of X0, all trajectories at once;
     returns every iterate, shape (k, steps+1, dim).
 
-    The objective must expose ``gradient_batch`` plus ``x_mean``/``x_std``
-    describing its training-time input standardization (identity constants for
-    exact stand-ins).  The ascent step lives in that standardized space; mapped
+    The objective must expose ``gradient_batch`` and ``x_std``, the scale of
+    its training-time input standardization (ones for exact stand-ins); the
+    offset of that standardization does not enter the step, so ``ascend``
+    reads no mean.  The ascent step lives in the standardized space; mapped
     back to raw coordinates it becomes a step along x_std^2 * gradient, with
     ``project_box`` applied directly on the raw box so the bound satisfaction
     is exact.  The step size is fixed; no schedule.

@@ -402,17 +402,17 @@ def _decode_arrays(data: dict, key: str, shapes: list[tuple]) -> list[np.ndarray
     return arrays
 
 
-def init_surrogate(
-    dim: int, hidden: int, seed: int, init_scale: float = 1.0
-) -> MlpSurrogate:
-    """Fresh surrogate with uniform(+-scale/sqrt(fan_in)) weights and zero biases."""
+def init_surrogate(dim: int, hidden: int, seed: int) -> MlpSurrogate:
+    """Fresh surrogate with uniform(+-1/sqrt(fan_in)) weights and zero biases;
+    the scale is the ``weight_init_scale`` constant that ``TrainConfig``
+    echoes."""
     if dim < 1 or hidden < 1:
         raise ValueError("dim and hidden must be positive")
     rng = np.random.default_rng(seed)
     sizes = [dim, hidden, hidden, 1]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = init_scale / np.sqrt(fan_in)
+        bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return MlpSurrogate(weights, biases, seed=seed)
@@ -445,16 +445,16 @@ class _Optimizer:
 
     The optimizer owns one flat gradient buffer over the parameters in the
     order W1, W2, W3, b1, b2, b3; Adam's two moments are flat buffers in the
-    same order.  ``grads`` holds per-parameter views of the gradient buffer,
-    for ``MlpSurrogate.loss_and_grads(..., out=opt.grads)`` to write into.
-    Gradients that are not these views are copied in first.  A step runs in
-    two passes over fixed ``_BLOCK`` views of the buffers: the first updates
-    the moments, then one check over all of ``v`` runs before the second
-    computes each block's update into a block-sized scratch and subtracts it
-    in place from the flat views of the parameters that block covers.  There
-    is no parameter-sized update buffer, so a step at paper width allocates
-    nothing and keeps only the gradient and the two moments beside the
-    model; the model's own arrays are never rebound.
+    same order.  ``grads`` holds per-parameter views of the gradient buffer;
+    the caller fills them, through ``MlpSurrogate.loss_and_grads(...,
+    out=opt.grads)``, before each ``step``, which reads nothing else.  A step
+    runs in two passes over fixed ``_BLOCK`` views of the buffers: the first
+    updates the moments, then one check over all of ``v`` runs before the
+    second computes each block's update into a block-sized scratch and
+    subtracts it in place from the flat views of the parameters that block
+    covers.  There is no parameter-sized update buffer, so a step at paper
+    width allocates nothing and keeps only the gradient and the two moments
+    beside the model; the model's own arrays are never rebound.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
@@ -487,18 +487,12 @@ class _Optimizer:
             bufs = (self.grad[sl], self.m[sl], self.v[sl], u, scratch[: stop - start])
             self._blocks.append(bufs + (targets,))
 
-    def step(
-        self, model: MlpSurrogate, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
-    ) -> bool:
-        """Apply one update; return False, leaving the model untouched, when
-        the second moment has overflowed (an inf entry would freeze its
-        parameter silently).  ``model`` is the model the optimizer was built
-        for: the update goes into views of its arrays taken then."""
+    def step(self) -> bool:
+        """Apply one update from the gradients in ``grads`` to the model the
+        optimizer was built for, through views of its arrays taken then;
+        return False, leaving the model untouched, when the second moment has
+        overflowed (an inf entry would freeze its parameter silently)."""
         cfg = self.config
-        own_w, own_b = self.grads
-        for g, dst in zip(grads_w + grads_b, own_w + own_b):
-            if g is not dst:
-                np.copyto(dst, g)
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
         corr1 = 1.0 - b1**self.t

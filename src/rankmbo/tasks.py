@@ -25,7 +25,6 @@ __all__ = [
     "ValidationError",
     "TaskSpec",
     "OfflineDataset",
-    "eval_branin",
     "eval_quadratic_bowl",
     "branin_task",
     "quadratic_bowl_task",
@@ -130,22 +129,13 @@ class OfflineDataset:
         return len(self.scores)
 
 
-def eval_branin(x: np.ndarray) -> float:
-    """Negated Branin function on the box [-5, 10] x [0, 15].
+def _branin_batch(X: np.ndarray) -> np.ndarray:
+    """Negated Branin function of each row, on the box [-5, 10] x [0, 15].
 
     Uses the standard constants a=1, b=5.1/(4*pi^2), c=5/pi, r=6, s=10,
     t=1/(8*pi).  The sign flip makes the three classic minimizers the global
     maximizers, with value close to -0.397887.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError(f"branin expects a 2-vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("branin requires finite input")
-    return float(_branin_batch(x[None, :])[0])
-
-
-def _branin_batch(X: np.ndarray) -> np.ndarray:
     x1, x2 = X[:, 0], X[:, 1]
     b = 5.1 / (4.0 * np.pi**2)
     c = 5.0 / np.pi

@@ -523,7 +523,7 @@ class TestAuditMseToRank:
 
     def test_nonpositive_gap_flagged_inapplicable(self):
         near, sub, f_near, f_sub, truth = self._pool()
-        rep = audit_mse_to_rank(truth, near, sub, f_sub[:20], f_near, tol=1e-9)
+        rep = audit_mse_to_rank(truth, near, sub, f_sub[:20], f_near)
         assert not rep.applicable
         assert rep.holds is None
 

@@ -495,6 +495,39 @@ class TestSweep:
         assert excinfo.value.field == "seeds"
         assert not out.exists()
 
+    def test_negative_seed_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(parse_config(FAST_CFG), {}, [0, -1], out)
+        assert excinfo.value.field == "seeds"
+        assert not out.exists()
+
+    def test_unparsable_grid_value_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(parse_config(FAST_CFG), {"train.hidden": ["8", "abc"]}, [0], out)
+        assert excinfo.value.field == "train.hidden"
+        assert not out.exists()
+
+    def test_seed_axis_wins_over_base_seed(self, tmp_path):
+        cfg = parse_config(FAST_CFG)
+        rows = sweep(cfg, {"task.seed": ["1", "2"]}, seeds=[0], out_dir=tmp_path / "sw")
+        assert [row["n_failed"] for row in rows] == [0, 0]
+        for ci, task_seed in enumerate((1, 2)):
+            job = tmp_path / "sw" / f"cell_{ci:03d}" / "seed_0"
+            manifest = json.loads((job / "manifest.json").read_text())
+            # the axis sets task.seed; the other sections keep the base seed's
+            assert manifest["seeds"] == {
+                "task": task_seed, "train": 1, "search": 2, "diagnostics": 3
+            }
+            cfg = reseed(parse_config(FAST_CFG), 0)
+            cfg.task.seed = task_seed
+            direct = run(cfg, tmp_path / f"direct_{ci}")
+            assert rows[ci]["mean_best_normalized"] == direct["search"]["best_normalized"]
+            assert (job / "dataset.csv").read_bytes() == (
+                tmp_path / f"direct_{ci}" / "dataset.csv"
+            ).read_bytes()
+
 
 class TestAtomicWrites:
     WRITERS = {
@@ -704,12 +737,14 @@ class TestCli:
         assert err["stage"] == "search"
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("seeds", ["x", ",", "0,y"])
+    @pytest.mark.parametrize("seeds", ["x", ",", "0,y", "-1,-2"])
     def test_bad_sweep_seeds_exit_one_before_writing(self, tmp_path, seeds):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(FAST_CFG)
         out = tmp_path / "sw"
-        proc = self._cli("sweep", "--config", str(cfg_file), "--out", str(out), "--seeds", seeds)
+        proc = self._cli(
+            "sweep", "--config", str(cfg_file), "--out", str(out), f"--seeds={seeds}"
+        )
         assert proc.returncode == 1
         assert not out.exists()
         err = json.loads(proc.stderr.strip().splitlines()[-1])
@@ -737,6 +772,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
         assert len(summary) == 3  # header + two cells
+
+    def test_unparsable_sweep_grid_exit_one_before_writing(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "sw"
+        proc = self._cli(
+            "sweep", "--config", str(cfg_file), "--out", str(out), "--set", "train.hidden=abc"
+        )
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert (err["field"], err["stage"]) == ("train.hidden", "sweep")
 
     def test_compare_cli_missing_manifest(self, tmp_path):
         proc = self._cli("compare", str(tmp_path / "ghost"), "--out", str(tmp_path / "c.csv"))

@@ -47,6 +47,14 @@ def small_dataset(designs, scores):
     )
 
 
+def wide_init_surrogate(dim, hidden, seed):
+    """``init_surrogate`` with its weights scaled by 4 in place."""
+    model = init_surrogate(dim, hidden, seed=seed)
+    for w in model.weights:
+        w *= 4.0
+    return model
+
+
 class TestPartition:
     def test_top_two_of_ten(self):
         part = partition_scores(np.arange(1.0, 11.0), 0.2)
@@ -363,7 +371,7 @@ class TestTrainRankGlobal:
         # activation checks of the forward pass catch the overflow
         assert margin_rank_loss(np.inf, 1.0, 0.4) == 0.0
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
-        model = init_surrogate(1, 8, seed=2, init_scale=4.0)
+        model = wide_init_surrogate(1, 8, seed=2)
         model.weights[1][0, 0] = 1e308
         with pytest.raises(FloatingPointError, match="layer"):
             train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
@@ -373,7 +381,7 @@ class TestTrainRankGlobal:
         # the scores and the loss stay finite, but the squared gradient
         # overflows Adam's second moment, which would freeze those parameters
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
-        model = init_surrogate(1, 8, seed=0, init_scale=4.0)
+        model = wide_init_surrogate(1, 8, seed=0)
         model.weights[1][0, 0] = 1e308
         before = [w.copy() for w in model.weights]
         with pytest.raises(TrainingDiverged) as exc:
@@ -390,7 +398,7 @@ class TestTrainRankGlobal:
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
 
         def make_model():
-            model = init_surrogate(1, 200, seed=0, init_scale=4.0)
+            model = wide_init_surrogate(1, 200, seed=0)
             model.weights[1][0, 0] = 1e308
             model.weights[2][0, 0] = -1e-160
             return model

@@ -22,7 +22,6 @@ class ExactBowl:
 
     def __init__(self, center):
         self.center = np.asarray(center, dtype=float)
-        self.x_mean = np.zeros_like(self.center)
         self.x_std = np.ones_like(self.center)
 
     def value_batch(self, X):
@@ -34,7 +33,6 @@ class ExactBowl:
 
 class ZeroGradient:
     def __init__(self, dim):
-        self.x_mean = np.zeros(dim)
         self.x_std = np.ones(dim)
 
     def value_batch(self, X):
@@ -169,9 +167,7 @@ class TestAscend:
         sigma = model.adapt_std
         X0 = ds.designs[:1]
         lo, hi = ds.task.lower, ds.task.upper
-        raw = SimpleNamespace(
-            gradient_batch=model.input_gradient_batch, x_mean=model.x_mean, x_std=model.x_std
-        )
+        raw = SimpleNamespace(gradient_batch=model.input_gradient_batch, x_std=model.x_std)
         t_adapted = ascend(
             SurrogateObjective(model), X0, lo, hi,
             SearchConfig(step_size=0.05, steps=40),

@@ -175,7 +175,8 @@ class TestInit:
         for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
             assert not np.shares_memory(pa, pb)
         opt = _Optimizer(b, TrainConfig(learning_rate=0.1))
-        assert opt.step(b, *b.param_gradients(np.ones((4, 3)), np.ones(4)))
+        b.loss_and_grads(np.ones((4, 3)), lambda s: (0.0, np.ones(4)), out=opt.grads)
+        assert opt.step()
         assert not all(np.array_equal(p, q) for p, q in zip(b.weights + b.biases, before))
         for p, q in zip(a.weights + a.biases, before):
             assert np.array_equal(p, q)
@@ -432,8 +433,8 @@ class TestParameterLayout:
             X = rng.normal(size=(16, 3))
             up = rng.normal(size=16)
             for model, opt in zip((ref, fortran), opts):
-                _, grads = model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
-                assert opt.step(model, *grads)
+                model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
+                assert opt.step()
         assert not np.array_equal(ref.weights[1], init_surrogate(3, 200, seed=1).weights[1])
         for a, b in zip(fortran.weights + fortran.biases, ref.weights + ref.biases):
             assert same_bits(a, b)
@@ -666,7 +667,8 @@ def assert_matches_per_layer_reference(hidden, steps=40):
     for _ in range(steps):
         X = rng.normal(size=(8, 3))
         up = rng.normal(size=8)
-        opt.step(model, *model.param_gradients(X, up))
+        model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
+        assert opt.step()
         ref_opt.step(ref, *ref.param_gradients(X, up))
     trained = ref.weights + ref.biases
     assert not np.array_equal(trained[0], init_surrogate(3, hidden, seed=1).weights[0])
@@ -692,20 +694,13 @@ class TestOptimizer:
         gw, gb = model.param_gradients(np.ones((2, 3)), np.ones(2))
         # b3 is the last flat entry, so its moment sits in the partial last block
         gb[2][0] = 1e200
+        for g, dst in zip(gw + gb, opt.grads[0] + opt.grads[1]):
+            np.copyto(dst, g)
         before = [p.copy() for p in model.weights + model.biases]
-        assert not opt.step(model, gw, gb)
+        assert not opt.step()
         assert not np.isfinite(opt.v[-1]) and np.isfinite(opt.v[:-1]).all()
         for p, b in zip(model.weights + model.biases, before):
             assert np.array_equal(p, b)
-
-    def test_foreign_gradients_are_not_written(self):
-        model = init_surrogate(2, 4, seed=0)
-        opt = _Optimizer(model, TrainConfig())
-        gw, gb = model.param_gradients(np.ones((3, 2)), np.ones(3))
-        fresh = [g.copy() for g in gw + gb]
-        opt.step(model, gw, gb)
-        for g, f in zip(gw + gb, fresh):
-            assert np.array_equal(g, f)
 
 
 class TestInputGradient:

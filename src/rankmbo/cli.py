@@ -3,9 +3,9 @@
 Subcommands mirror the pipeline stages (gen-data, train, search, diagnose),
 plus run (all stages), sweep (grid of runs), and compare (join manifests).
 Every command validates its config, flags included, before it writes.  Each
-staged command rebuilds the offline dataset from the config, as ``run`` does;
-the only file a stage reads is ``model.json`` (search, diagnose), so they also
-work in a ``run`` directory.  ``manifest.json`` is written by ``run`` alone.
+staged command rebuilds the offline dataset from the config, as ``run`` does,
+and reads only a ``model.json`` trained under that config (search, diagnose),
+so they work in a ``run`` directory too; only ``run`` writes ``manifest.json``.
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
 """
 
@@ -22,9 +22,10 @@ from .diagnostics import save_report_summary
 from .harness import build_dataset, compare, error_record, run, run_diagnostics
 from .harness import run_search, save_compare_rows, save_diagnostics, save_training
 from .harness import sweep, train_model
+from .objectives import get_objective
 from .search import save_search_result
 from .surrogate import load_model
-from .tasks import save_dataset
+from .tasks import get_task, save_dataset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,12 +80,27 @@ def _load(args):
 def _stage(args, trained: bool):
     """A staged command's validated config, output directory, dataset and,
     when ``trained``, the model of ``model.json``; ``--out`` is made only
-    once the config has validated and the model has loaded."""
+    once the config has validated and the model has loaded and matched it."""
     cfg = _load(args)
     out = Path(args.out)
-    model = load_model(out / "model.json") if trained else None
+    model = _trained_model(cfg, out / "model.json") if trained else None
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, build_dataset(cfg)[1], model
+
+
+def _trained_model(cfg, path: Path):
+    """The model at ``path``, unless a config key differs from its training."""
+    model = load_model(path)
+    expected = cfg.train_config(get_objective(cfg.train.objective)[0]).to_dict()
+    for key, got, want in [
+        ("train.objective", model.objective, cfg.train.objective),
+        ("train.hidden", model.layer_sizes[1:3], [cfg.train.hidden] * 2),
+        *((f"train.{k}", (model.train_config or {}).get(k), v) for k, v in expected.items()),
+        ("task.name", f"dim {model.dim}", f"dim {get_task(cfg.task.name).dim}"),
+    ]:
+        if got != want:
+            raise ValidationError(key, f"model.json was trained with {got}, not {want}")
+    return model
 
 
 def _cmd_gen_data(args) -> int:
@@ -135,8 +151,10 @@ def _cmd_sweep(args) -> int:
     for axis in args.grid:
         if "=" not in axis:
             raise ValidationError(axis, "expected PATH=V1,V2,...")
-        path, values = axis.split("=", 1)
-        grid[path.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+        path, values = (part.strip() for part in axis.split("=", 1))
+        if path in grid:
+            raise ValidationError(path, "repeated --set axis")
+        grid[path] = [v.strip() for v in values.split(",") if v.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:

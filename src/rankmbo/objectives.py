@@ -294,6 +294,8 @@ def _descend(
 
     ``next_batch(rng) -> (inputs, loss_fn)`` draws an iteration's batch; see
     ``MlpSurrogate.loss_and_grads`` for ``loss_fn``.  Returns the loss trace.
+    Callers adapt the output once it returns and the optimizer is freed:
+    inside it, adapting raised paper-width peak RSS from 259 to 322 MB.
     """
     if config.seed is None:  # the [train] section itself; train_config() resolves it
         raise ValidationError("seed", "must be set for reproducible training")

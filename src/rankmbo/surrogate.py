@@ -1,10 +1,11 @@
 """Two-hidden-layer ReLU surrogate with exact reverse-mode gradients.
 
 The network computes ``W3 @ relu(W2 @ relu(W1 z + b1) + b2) + b3`` on
-standardized inputs ``z = (x - x_mean) / x_std``.  Gradients are provided with
-respect to both the parameters (for training) and the raw input (for design
-search).  The ReLU subgradient at exactly 0 is defined as 0, which keeps all
-gradients deterministic.
+standardized inputs ``z = (x - x_mean) / x_std``; its ``weights`` and
+``biases`` are views of one flat float64 buffer, ``params``, laid out W1, W2,
+W3, b1, b2, b3.  Gradients are given for the parameters (training) and the raw
+input (design search).  The ReLU subgradient at exactly 0 is defined as 0,
+which keeps all gradients deterministic.
 
 One method, ``MlpSurrogate._forward_cache``, runs the hidden layers for
 scoring, training and the input gradient alike.  It caches one array per
@@ -34,11 +35,11 @@ iterations.  When every row is active, as in every mse step, the cached
 arrays are used as they are.  The one optimizer is Adam with fixed constants
 and no weight decay.  It keeps its moments as flat buffers too and runs its
 update over fixed cache-sized blocks of them: each block's update goes into
-a block-sized scratch and is subtracted in place from the flat views of the
-model's (C-ordered) arrays that the block covers.  At paper width (4.2M
-parameters) a step therefore allocates nothing and holds no parameter-sized
-update buffer, and the arithmetic, operation for operation, is that of the
-plain whole-buffer expression, so results are bit-identical to it.
+a block-sized scratch and is subtracted in place from the same slice of the
+model's flat buffer.  At paper width (4.2M parameters) a step therefore
+allocates nothing and holds no parameter-sized update buffer, and the
+arithmetic, operation for operation, is that of the plain whole-buffer
+expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -121,26 +122,19 @@ class MlpSurrogate:
     ):
         if len(weights) != 3 or len(biases) != 3:
             raise ValueError("expected exactly three linear layers")
-        # C-ordered copies: the optimizer updates these arrays in place,
-        # through flat views
-        self.weights = [np.array(w, dtype=float, order="C") for w in weights]
-        self.biases = [np.array(b, dtype=float, order="C") for b in biases]
-        for w, b in zip(self.weights, self.biases):
-            if w.shape[0] != b.shape[0]:
-                raise ValueError("weight/bias shapes inconsistent")
-        if self.weights[0].shape[0] != self.weights[1].shape[1]:
-            raise ValueError("layer shapes inconsistent")
-        if self.weights[1].shape[0] != self.weights[2].shape[1]:
-            raise ValueError("layer shapes inconsistent")
-        if self.weights[2].shape[0] != 1:
-            raise ValueError("output layer must be scalar")
-        for w in self.weights + self.biases:
-            if not np.all(np.isfinite(w)):
-                raise ValueError("parameters must be finite")
+        arrays = [np.asarray(a, dtype=float) for a in [*weights, *biases]]
+        sizes = [arrays[0].shape[-1], *(w.shape[0] for w in arrays[:3])]
+        self._shapes = [(o, i) for i, o in zip(sizes, sizes[1:])] + [(o,) for o in sizes[1:]]
+        if sizes[3] != 1 or [a.shape for a in arrays] != self._shapes:
+            raise ValueError(f"shapes {[a.shape for a in arrays]} are not a [dim, h1, h2, 1] net")
+        # the one copy of the parameters, in the order W1, W2, W3, b1, b2, b3
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        if not np.isfinite(self.params).all():
+            raise ValueError("parameters must be finite")
+        self.weights, self.biases = self.param_views(self.params)
         self.seed = seed
-        dim = self.weights[0].shape[1]
-        self.x_mean = np.zeros(dim)
-        self.x_std = np.ones(dim)
+        self.x_mean = np.zeros(self.dim)
+        self.x_std = np.ones(self.dim)
         self.adapt_mean: float | None = None
         self.adapt_std: float | None = None
         self.adapt_degenerate: bool = False
@@ -157,7 +151,14 @@ class MlpSurrogate:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
+
+    def param_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``(weights, biases)``-shaped views of a flat buffer laid out as
+        ``params``."""
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes])[:-1]
+        views = [v.reshape(shape) for v, shape in zip(np.split(flat, ends), self._shapes)]
+        return views[:3], views[3:]
 
     @property
     def is_adapted(self) -> bool:
@@ -246,9 +247,9 @@ class MlpSurrogate:
         the rows of ``X`` and returns the scalar loss and its derivative with
         respect to each score.  Returns ``(loss, (grads_w, grads_b))``; when the
         loss is not finite the backward pass is skipped and the gradients are
-        ``None``.  ``out``, when given, is a ``(grads_w, grads_b)`` pair of
-        C-contiguous arrays shaped like the parameters; the gradients are
-        written into them and ``out`` itself is returned.
+        ``None``.  ``out``, when given, is a ``(grads_w, grads_b)`` pair shaped
+        like the parameters, such as ``param_views`` of a flat buffer; the
+        gradients are written into it and ``out`` itself is returned.
         """
         scores, cache = self._forward_cache(X)
         loss, upstream = loss_fn(scores)
@@ -261,10 +262,7 @@ class MlpSurrogate:
 
     def _backward(self, cache, up: np.ndarray, out=None):
         if out is None:
-            out = (
-                [np.empty_like(w) for w in self.weights],
-                [np.empty_like(b) for b in self.biases],
-            )
+            out = self.param_views(np.empty(self.params.size))
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, H1, H2 = cache
         # a row with zero upstream gradient adds exactly zero to every sum
@@ -443,55 +441,39 @@ _BLOCK = 32768
 class _Optimizer:
     """Adam over the surrogate parameters.
 
-    The optimizer owns one flat gradient buffer over the parameters in the
-    order W1, W2, W3, b1, b2, b3; Adam's two moments are flat buffers in the
-    same order.  ``grads`` holds per-parameter views of the gradient buffer;
-    the caller fills them, through ``MlpSurrogate.loss_and_grads(...,
-    out=opt.grads)``, before each ``step``, which reads nothing else.  A step
-    runs in two passes over fixed ``_BLOCK`` views of the buffers: the first
-    updates the moments, then one check over all of ``v`` runs before the
-    second computes each block's update into a block-sized scratch and
-    subtracts it in place from the flat views of the parameters that block
-    covers.  There is no parameter-sized update buffer, so a step at paper
-    width allocates nothing and keeps only the gradient and the two moments
-    beside the model; the model's own arrays are never rebound.
+    The optimizer owns one flat gradient buffer laid out as ``model.params``;
+    Adam's two moments are flat buffers in the same order.  ``grads`` is
+    ``model.param_views`` of the gradient buffer; the caller fills it, through
+    ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``, before each
+    ``step``, which reads nothing else.  A step runs in two passes over fixed
+    ``_BLOCK`` slices of the buffers: the first updates the moments, then one
+    check over all of ``v`` runs before the second computes each block's
+    update into a block-sized scratch and subtracts it in place from the same
+    slice of ``model.params``.  There is no parameter-sized update buffer, so
+    a step at paper width allocates nothing and keeps only the gradient and
+    the two moments beside the model.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
+        if not all(p.base is model.params for p in model.weights + model.biases):
+            raise ValueError("every parameter must be a view of model.params")
         self.config = config
         self.t = 0
-        params = model.weights + model.biases
-        if not all(p.flags.c_contiguous for p in params):
-            raise ValueError("parameters must be C-contiguous")
-        ends = np.cumsum([p.size for p in params])
-        spans = [(int(end) - p.size, int(end)) for p, end in zip(params, ends)]
-        n = spans[-1][1]
-        self.grad = np.empty(n)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        grad_views = [self.grad[a:b].reshape(p.shape) for p, (a, b) in zip(params, spans)]
-        self.grads = (grad_views[:3], grad_views[3:])
+        n = model.params.size
+        self.grad, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
+        self.grads = model.param_views(self.grad)
         update, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         self._blocks = []
         for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            u = update[: stop - start]
-            # the flat slice of each parameter this block covers, beside the
-            # slice of the update that belongs to it
-            targets = []
-            for p, (a, b) in zip(params, spans):
-                lo, hi = max(start, a), min(stop, b)
-                if lo < hi:
-                    targets.append((p.reshape(-1)[lo - a : hi - a], u[lo - start : hi - start]))
-            sl = slice(start, stop)
-            bufs = (self.grad[sl], self.m[sl], self.v[sl], u, scratch[: stop - start])
-            self._blocks.append(bufs + (targets,))
+            sl, k = slice(start, start + _BLOCK), min(_BLOCK, n - start)
+            bufs = (self.grad[sl], self.m[sl], self.v[sl], update[:k], scratch[:k])
+            self._blocks.append(bufs + (model.params[sl],))
 
     def step(self) -> bool:
-        """Apply one update from the gradients in ``grads`` to the model the
-        optimizer was built for, through views of its arrays taken then;
-        return False, leaving the model untouched, when the second moment has
-        overflowed (an inf entry would freeze its parameter silently)."""
+        """Apply one update from the gradients in ``grads`` to the parameters
+        of the model the optimizer was built for; return False, leaving them
+        untouched, when the second moment has overflowed (an inf entry would
+        freeze its parameter silently)."""
         cfg = self.config
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
@@ -505,13 +487,12 @@ class _Optimizer:
             v += np.multiply(1 - b2, s, out=s)
         if not np.isfinite(self.v).all():
             return False
-        for _, m, v, u, s, targets in self._blocks:
+        for _, m, v, u, s, p in self._blocks:
             np.divide(m, corr1, out=u)
             u *= cfg.learning_rate
             np.divide(v, corr2, out=s)
             np.sqrt(s, out=s)
             s += cfg.adam_eps
             u /= s
-            for p, u_part in targets:
-                p -= u_part
+            p -= u
         return True

@@ -37,7 +37,7 @@ from rankmbo.harness import (
 )
 from rankmbo.objectives import partition, train_dar
 from rankmbo.search import SearchConfig, propose_candidates
-from rankmbo.surrogate import TrainConfig, init_surrogate
+from rankmbo.surrogate import TrainConfig, init_surrogate, load_model, save_model
 
 FAST_CFG = """
 [task]
@@ -502,6 +502,14 @@ class TestSweep:
         assert excinfo.value.field == "seeds"
         assert not out.exists()
 
+    def test_repeated_seed_rejected_before_writing(self, tmp_path):
+        # a repeated seed would rerun into the same job directory and count twice
+        out = tmp_path / "sw"
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(parse_config(FAST_CFG), {}, [0, 1, 0], out)
+        assert excinfo.value.field == "seeds"
+        assert not out.exists()
+
     def test_unparsable_grid_value_rejected_before_writing(self, tmp_path):
         out = tmp_path / "sw"
         with pytest.raises(ValidationError) as excinfo:
@@ -737,7 +745,7 @@ class TestCli:
         assert err["stage"] == "search"
         assert not (tmp_path / "nope").exists()
 
-    @pytest.mark.parametrize("seeds", ["x", ",", "0,y", "-1,-2"])
+    @pytest.mark.parametrize("seeds", ["x", ",", "0,y", "-1,-2", "0,0"])
     def test_bad_sweep_seeds_exit_one_before_writing(self, tmp_path, seeds):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(FAST_CFG)
@@ -779,6 +787,19 @@ class TestCli:
         out = tmp_path / "sw"
         proc = self._cli(
             "sweep", "--config", str(cfg_file), "--out", str(out), "--set", "train.hidden=abc"
+        )
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert (err["field"], err["stage"]) == ("train.hidden", "sweep")
+
+    def test_repeated_sweep_axis_exit_one_before_writing(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "sw"
+        proc = self._cli(
+            "sweep", "--config", str(cfg_file), "--out", str(out),
+            "--set", "train.hidden=8", "--set", "train.hidden=16",
         )
         assert proc.returncode == 1
         assert not out.exists()
@@ -840,6 +861,45 @@ class TestCliMain:
             assert main([stage, "--config", str(cfg_file), "--out", str(out)]) == 0, stage
         for name in names:
             assert (out / name).read_bytes() == before[name], name
+
+    def _assert_search_and_diagnose_refuse(self, cfg_file, out, field, capsys):
+        """Both stages exit 1 naming ``field`` and leave every file in ``out``
+        as it was."""
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for command in ("search", "diagnose"):
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["field"], err["stage"]) == (field, command)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "field, line, changed",
+        [
+            ("train.objective", "objective = dar", "objective = mse"),
+            ("train.hidden", "hidden = 8", "hidden = 16"),
+            ("train.learning_rate", "learning_rate = 0.001", "learning_rate = 0.002"),
+            ("train.seed", "hidden = 8", "hidden = 8\nseed = 5"),
+        ],
+        ids=["objective", "hidden", "learning_rate", "seed"],
+    )
+    def test_model_of_another_config_refused(self, tmp_path, capsys, field, line, changed):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert line in FAST_CFG
+        cfg_file.write_text(FAST_CFG.replace(line, changed))
+        self._assert_search_and_diagnose_refuse(cfg_file, out, field, capsys)
+
+    def test_model_of_another_dim_refused_naming_task(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+        trained, model = load_model(out / "model.json"), init_surrogate(3, 8, seed=0)
+        model.objective, model.train_config = trained.objective, trained.train_config
+        save_model(model, out / "model.json")
+        self._assert_search_and_diagnose_refuse(cfg_file, out, "task.name", capsys)
 
     def test_train_needs_no_gen_data(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

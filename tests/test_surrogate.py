@@ -439,11 +439,44 @@ class TestParameterLayout:
         for a, b in zip(fortran.weights + fortran.biases, ref.weights + ref.biases):
             assert same_bits(a, b)
 
-    def test_optimizer_rejects_non_contiguous_parameters(self):
-        m = init_surrogate(2, 4, seed=0)
-        m.weights[0] = np.asfortranarray(m.weights[0])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _Optimizer(m, TrainConfig())
+    def test_optimizer_rejects_rebound_parameters(self):
+        # Adam updates model.params, which a rebound array no longer is
+        for group, index in (("weights", 0), ("biases", 2)):
+            m = init_surrogate(2, 4, seed=0)
+            getattr(m, group)[index] = getattr(m, group)[index].copy()
+            with pytest.raises(ValueError, match="view of model.params"):
+                _Optimizer(m, TrainConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 16),
+        n=st.integers(1, 8),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_params_is_the_flat_layout(self, dim, hidden, n, fortran, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(hidden, dim), (hidden, hidden), (1, hidden)]
+        weights = [rng.normal(size=s) for s in shapes]
+        if fortran:
+            weights = [np.asfortranarray(w) for w in weights]
+        biases = [rng.normal(size=s[0]) for s in shapes]
+        m = MlpSurrogate(weights, biases)
+        flat = np.concatenate([a.flatten(order="C") for a in weights + biases])
+        assert same_bits(m.params, flat)
+        base, offset = m.params.__array_interface__["data"][0], 0
+        for p, a in zip(m.weights + m.biases, weights + biases):
+            assert p.base is m.params and p.shape == a.shape and p.flags.c_contiguous
+            assert p.__array_interface__["data"][0] == base + 8 * offset
+            offset += a.size
+        assert m.num_params == m.params.size == offset
+        opt = _Optimizer(m, TrainConfig())
+        X = rng.normal(size=(n, dim))
+        up = rng.normal(size=n)
+        m.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
+        gw, gb = m.param_gradients(X, up)
+        assert same_bits(opt.grad, np.concatenate([g.flatten() for g in gw + gb]))
 
 
 class TestParamGradients:
@@ -830,7 +863,7 @@ class TestPersistence:
         for a, b in zip(loaded.weights + loaded.biases, m.weights + m.biases):
             assert a.dtype == np.float64 and a.shape == b.shape
             assert a.tobytes() == b.tobytes()  # bit for bit, -0.0 included
-            assert a.flags.writeable and a.flags.owndata
+            assert a.flags.writeable and a.base is loaded.params
 
     def test_arrays_stored_as_little_endian_float64_base64(self, tmp_path):
         m = init_surrogate(2, 3, seed=1)

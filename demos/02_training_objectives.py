@@ -31,7 +31,7 @@ print(f"offline dataset: worst 60% of the pool, {len(dataset)} designs")
 part = partition(dataset, 0.2)
 print(f"near/sub split at score {part.threshold:.3f}: {part.n_near} / {part.n_sub}")
 
-shared = dict(iterations=1500, batch_size=256, learning_rate=3e-4, seed=1)
+shared = dict(iterations=1500, seed=1)  # batch 256, learning rate 3e-4 by default
 models = {}
 
 # every trainer ends with z-score output adaptation over the dataset, so the

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .tasks import (
     TaskSpec,
     OfflineDataset,
-    eval_quadratic_bowl,
     branin_task,
     quadratic_bowl_task,
     get_task,
@@ -58,7 +57,6 @@ from .diagnostics import (
 __all__ = [
     "TaskSpec",
     "OfflineDataset",
-    "eval_quadratic_bowl",
     "branin_task",
     "quadratic_bowl_task",
     "get_task",

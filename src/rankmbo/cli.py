@@ -6,7 +6,9 @@ Every command validates its config, flags included, before it writes.  Each
 staged command rebuilds the offline dataset from the config, as ``run`` does,
 and reads only a ``model.json`` trained under that config (search, diagnose),
 so they work in a ``run`` directory too; only ``run`` writes ``manifest.json``.
-Exit codes: 0 ok, 1 validation error, 2 runtime error.
+Exit codes: 0 ok, 1 validation error, 2 runtime error.  A runtime error
+writes ``error.json`` into an existing ``--out`` directory, and a later
+command that succeeds there removes it.
 """
 
 from __future__ import annotations
@@ -185,17 +187,20 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
+    out = Path(args.out)
     try:
-        return command(args)
+        code = command(args)
     except Exception as exc:
         record = error_record(exc, args.command)
         print(json.dumps(record), file=sys.stderr)
         if isinstance(exc, ValidationError):
             return EXIT_VALIDATION
-        out = getattr(args, "out", None)
-        if out is not None and Path(out).is_dir():
-            write_json(Path(out) / "error.json", record)
+        if out.is_dir():
+            write_json(out / "error.json", record)
         return EXIT_RUNTIME
+    if out.is_dir():  # compare's --out is a file
+        (out / "error.json").unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -64,12 +64,10 @@ class TaskBlock:
 @dataclass
 class TrainBlock(DarConfig):
     # DarConfig is the widest train config; its near_fraction also splits the
-    # dataset for search.  The desk batch size and learning rate are larger.
+    # dataset for search
     objective: str = "dar"
     hidden: int = 64
     seed: int | None = None
-    batch_size: int = 256
-    learning_rate: float = 3e-4
 
     def __post_init__(self) -> None:
         get_objective(self.objective)

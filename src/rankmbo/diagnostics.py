@@ -73,14 +73,15 @@ class EvalPool:
     near-optimal side and its complement, mirroring how the offline dataset is
     partitioned but on unseen ground truth.  ``near_designs`` and
     ``sub_designs`` are fresh copies on every access: take a side once per
-    call, or index ``designs`` through ``near_idx`` and ``sub_idx``.
+    call, or index ``designs`` through ``near_idx`` and ``sub_idx``.  The
+    pool keeps its data and that split only: its size and seed are the
+    ``make_eval_pool`` arguments, which the config's ``[diagnostics]``
+    section records.
     """
 
     designs: np.ndarray
     true_scores: np.ndarray
     near_fraction: float
-    seed: int
-    threshold: float = field(init=False)
     near_idx: np.ndarray = field(init=False)
     sub_idx: np.ndarray = field(init=False)
 
@@ -88,7 +89,6 @@ class EvalPool:
         self.designs = np.asarray(self.designs, dtype=float)
         self.true_scores = np.asarray(self.true_scores, dtype=float)
         part = partition_scores(self.true_scores, self.near_fraction)
-        self.threshold = part.threshold
         self.near_idx = part.near_idx
         self.sub_idx = part.sub_idx
 
@@ -141,7 +141,6 @@ def make_eval_pool(
         designs=designs,
         true_scores=task.evaluate_batch(designs),
         near_fraction=near_fraction,
-        seed=seed,
     )
 
 

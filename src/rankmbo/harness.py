@@ -40,16 +40,10 @@ from .diagnostics import (
     save_bound_reports,
     save_radius_rows,
 )
-from .objectives import get_objective, partition, save_loss_trace
+from .objectives import TrainingDiverged, get_objective, partition, save_loss_trace
 from .search import propose_candidates, save_search_result, score_candidates
 from .surrogate import init_surrogate, save_model
-from .tasks import (
-    dataset_sidecar,
-    get_task,
-    make_offline_dataset,
-    normalized_score,
-    save_dataset,
-)
+from .tasks import get_task, make_offline_dataset, normalized_score, save_dataset
 
 __all__ = [
     "RUN_ARTIFACTS",
@@ -256,7 +250,7 @@ def run(
         "objective": cfg.train.objective,
         "config": cfg.to_dict(),
         "seeds": cfg.resolved_seeds(),
-        "dataset": dataset_sidecar(dataset),
+        "dataset": {"y_min_full": dataset.y_min_full, "y_max_full": dataset.y_max_full},
         "dataset_best_normalized": normalized_score(float(dataset.scores.max()), dataset),
         "search": {
             "best_true": result.best_true,
@@ -276,10 +270,13 @@ def run(
 
 def error_record(exc: Exception, stage: str) -> dict:
     """The JSON diagnostic of a failure: exception type, message, the stage
-    it failed in and, for a ValidationError, the config field it names."""
+    it failed in and, for a ValidationError, the config field it names or,
+    for a TrainingDiverged, the iteration it diverged at."""
     record = {"error": type(exc).__name__, "message": str(exc), "stage": stage}
     if isinstance(exc, ValidationError):
         record["field"] = exc.field
+    if isinstance(exc, TrainingDiverged):
+        record["iteration"] = exc.iteration
     return record
 
 

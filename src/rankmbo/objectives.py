@@ -49,7 +49,8 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or the optimizer state becomes non-finite."""
+    """Raised when the training loss, an activation of the forward pass or the
+    optimizer state becomes non-finite; ``iteration`` is where it happened."""
 
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
@@ -288,14 +289,23 @@ def _standardize_inputs(model: MlpSurrogate, designs: np.ndarray) -> None:
 
 
 def _descend(
-    model: MlpSurrogate, dataset: OfflineDataset, config: TrainConfig, next_batch
-) -> np.ndarray:
-    """Minibatch descent with one fused forward/backward pass per iteration.
+    model: MlpSurrogate,
+    dataset: OfflineDataset,
+    config: TrainConfig,
+    next_batch,
+    objective: str,
+) -> tuple[MlpSurrogate, np.ndarray]:
+    """Minibatch descent with one fused forward/backward pass per iteration,
+    then z-score output adaptation; the tail of every trainer.
 
     ``next_batch(rng) -> (inputs, loss_fn)`` draws an iteration's batch; see
-    ``MlpSurrogate.loss_and_grads`` for ``loss_fn``.  Returns the loss trace.
-    Callers adapt the output once it returns and the optimizer is freed:
-    inside it, adapting raised paper-width peak RSS from 259 to 322 MB.
+    ``MlpSurrogate.loss_and_grads`` for ``loss_fn``.  A non-finite loss, a
+    non-finite activation (the message names its layer) or an overflowed
+    optimizer state raises ``TrainingDiverged`` with the iteration.  Returns
+    the model, tagged with ``objective`` and the config, and the loss trace.
+    The optimizer and its gradient views are freed before the output is
+    adapted: adapting while they were held raised paper-width peak RSS from
+    259 to 322 MB.
     """
     if config.seed is None:  # the [train] section itself; train_config() resolves it
         raise ValidationError("seed", "must be set for reproducible training")
@@ -305,7 +315,10 @@ def _descend(
     trace = np.empty(config.iterations)
     for it in range(config.iterations):
         inputs, loss_fn = next_batch(rng)
-        loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads)
+        try:
+            loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(it, f"{exc} at iteration {it}") from exc
         if grads is None:
             raise TrainingDiverged(it)
         trace[it] = loss
@@ -313,7 +326,11 @@ def _descend(
             raise TrainingDiverged(
                 it, f"optimizer state became non-finite at iteration {it}"
             )
-    return trace
+    del opt, grads  # grads are views of the optimizer's gradient buffer
+    zscore_adapt(model, dataset)
+    model.objective = objective
+    model.train_config = config.to_dict()
+    return model, trace
 
 
 def train_mse(
@@ -339,11 +356,7 @@ def train_mse(
 
         return X[idx], loss_fn
 
-    trace = _descend(model, dataset, config, next_batch)
-    zscore_adapt(model, dataset)
-    model.objective = "mse"
-    model.train_config = config.to_dict()
-    return model, trace
+    return _descend(model, dataset, config, next_batch, "mse")
 
 
 def _train_pairwise(
@@ -366,11 +379,7 @@ def _train_pairwise(
         pref, other = draw_pairs(rng, bs)
         return np.vstack([X[pref], X[other]]), loss_fn
 
-    trace = _descend(model, dataset, config, next_batch)
-    zscore_adapt(model, dataset)
-    model.objective = tag
-    model.train_config = config.to_dict()
-    return model, trace
+    return _descend(model, dataset, config, next_batch, tag)
 
 
 def train_rank_global(

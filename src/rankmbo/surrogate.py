@@ -85,11 +85,12 @@ _SCORE_ROWS = 4096
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters shared by all training objectives."""
+    """Optimization hyperparameters shared by all training objectives; the
+    defaults are the desk-scale values of the config's ``[train]`` section."""
 
     iterations: int = 5000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
+    batch_size: int = 256
+    learning_rate: float = 3e-4
     # constants, not options; fields so that ``to_dict`` echoes them
     optimizer: str = field(default="adam", init=False)
     adam_beta1: float = field(default=0.9, init=False)

@@ -6,8 +6,10 @@ protocol: sample a pool uniformly inside the feasible box, evaluate the true
 objective, and keep only the lowest-scoring fraction, which creates a
 deliberate shift between the training data and the region of the true optima.
 The task name, pool size, keep fraction, noise and seed fully determine that
-draw, so a dataset is rebuilt from them rather than read back; ``save_dataset``
-writes it as CSV for inspection only.
+draw.  They are the inputs of ``make_offline_dataset``, kept only in the
+config's ``[task]`` section: a dataset holds its data, its task and the pool
+extrema, and is rebuilt from the config rather than read back;
+``save_dataset`` writes it as CSV for inspection only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "ValidationError",
     "TaskSpec",
     "OfflineDataset",
-    "eval_quadratic_bowl",
     "branin_task",
     "quadratic_bowl_task",
     "get_task",
@@ -98,16 +99,14 @@ class OfflineDataset:
     ``y_min_full`` and ``y_max_full`` are the true-score extrema over the whole
     pool the dataset was kept from, the reference scale of
     :func:`normalized_score`; they stay ``None`` for a dataset built from
-    bare arrays.
+    bare arrays.  The recipe of the draw is not stored: it is the
+    ``make_offline_dataset`` arguments, which the config's ``[task]``
+    section records.
     """
 
     designs: np.ndarray
     scores: np.ndarray
     task: TaskSpec
-    seed: int
-    pool_size: int
-    keep_fraction: float
-    noise_std: float = 0.0
     y_min_full: float | None = None
     y_max_full: float | None = None
 
@@ -144,15 +143,6 @@ def _branin_batch(X: np.ndarray) -> np.ndarray:
     return -value
 
 
-def eval_quadratic_bowl(x: np.ndarray, center: np.ndarray) -> float:
-    """Concave bowl -||x - center||^2 with its analytically known maximum at center."""
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if x.shape != center.shape:
-        raise ValueError("x and center must have the same length")
-    return float(-np.sum((x - center) ** 2))
-
-
 def branin_task() -> TaskSpec:
     return TaskSpec(
         name="branin",
@@ -166,6 +156,8 @@ def branin_task() -> TaskSpec:
 def quadratic_bowl_task(
     dim: int = 2, center: np.ndarray | None = None, halfwidth: float = 5.0
 ) -> TaskSpec:
+    """Concave bowl -||x - center||^2 on the box center +- halfwidth, with its
+    known maximum 0 at center."""
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     if center.shape != (dim,):
         raise ValueError("center must have shape (dim,)")
@@ -251,10 +243,6 @@ def make_offline_dataset(
         designs=pool[kept],
         scores=observed[kept],
         task=task,
-        seed=seed,
-        pool_size=pool_size,
-        keep_fraction=keep_fraction,
-        noise_std=noise_std,
         y_min_full=float(y_true.min()),
         y_max_full=float(y_true.max()),
     )
@@ -281,18 +269,3 @@ def save_dataset(dataset: OfflineDataset, csv_path: str | Path) -> None:
     header = [f"x{i}" for i in range(dataset.task.dim)] + ["y"]
     rows = np.column_stack([dataset.designs, dataset.scores]).tolist()
     write_csv(csv_path, header, rows)
-
-
-def dataset_sidecar(dataset: OfflineDataset) -> dict:
-    """The facts that fix the dataset draw plus its pool extrema, as
-    ``manifest.json`` records them."""
-    return {
-        "task": dataset.task.name,
-        "seed": dataset.seed,
-        "pool_size": dataset.pool_size,
-        "keep_fraction": dataset.keep_fraction,
-        "noise_std": dataset.noise_std,
-        "y_min_full": dataset.y_min_full,
-        "y_max_full": dataset.y_max_full,
-    }
-

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rankmbo.config import (
     ExperimentConfig,
+    TrainBlock,
     ValidationError,
     apply_profile,
     load_config,
@@ -35,7 +36,7 @@ from rankmbo.harness import (
     sweep,
     train_model,
 )
-from rankmbo.objectives import partition, train_dar
+from rankmbo.objectives import DarConfig, RankConfig, partition, train_dar
 from rankmbo.search import SearchConfig, propose_candidates
 from rankmbo.surrogate import TrainConfig, init_surrogate, load_model, save_model
 
@@ -300,6 +301,15 @@ class TestConfig:
         with pytest.raises(TypeError):
             TrainConfig(adam_beta1=0.5)
 
+    def test_train_section_has_the_library_defaults(self):
+        # one set of defaults: [train] declares no value of its own for a
+        # runtime key, so an unset key trains as the library default does
+        assert {"batch_size", "learning_rate"}.isdisjoint(TrainBlock.__annotations__)
+        assert (TrainConfig().batch_size, TrainConfig().learning_rate) == (256, 3e-4)
+        cfg = ExperimentConfig()
+        for cls in (TrainConfig, RankConfig, DarConfig):
+            assert cfg.train_config(cls) == cls(seed=cfg.resolved_seeds()["train"])
+
     def test_search_json_echoes_init_rule_in_order(self):
         echo = SearchConfig().to_dict()
         assert list(echo) == ["step_size", "steps", "num_candidates", "init_rule", "seed"]
@@ -338,6 +348,9 @@ class TestRun:
         assert on_disk["version"].startswith("rankmbo-")
         assert "wall_clock_s" in on_disk
         assert on_disk["search"]["best_normalized"] == manifest["search"]["best_normalized"]
+        # the dataset's recipe is config.task and seeds.task; only the pool
+        # extrema are recorded beside them
+        assert list(on_disk["dataset"]) == ["y_min_full", "y_max_full"]
         assert on_disk["dataset"]["y_min_full"] < on_disk["dataset"]["y_max_full"]
         assert "threads" not in on_disk
 
@@ -847,6 +860,35 @@ class TestCliMain:
         assert record == printed
         assert (record["error"], record["stage"]) == ("FileNotFoundError", "search")
         assert "field" not in record
+
+    def test_success_removes_a_stale_error_json(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["search", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert (out / "error.json").is_file()
+        for command in ("train", "search"):
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert not (out / "error.json").exists()
+        assert (out / "search.csv").is_file()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_training_reports_its_iteration(self, tmp_path, capsys):
+        text = preset_path("branin_mse_desk").read_text()
+        text = text.replace("learning_rate = 0.0003", "learning_rate = 1e200")
+        text = text.replace("iterations = 5000", "iterations = 50")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        train = load_config(cfg_file).train
+        assert (train.learning_rate, train.iterations) == (1e200, 50)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (record["error"], record["stage"]) == ("TrainingDiverged", "run")
+        assert type(record["iteration"]) is int and 0 <= record["iteration"] < 50
+        assert f"at iteration {record['iteration']}" in record["message"]
+        assert json.loads((out / "error.json").read_text()) == record
 
     def test_search_and_diagnose_in_a_run_directory_reproduce_it(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

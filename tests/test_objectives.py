@@ -1,10 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rankmbo import objectives
 from rankmbo.objectives import (
     _TIE_ROUNDS,
     DarConfig,
@@ -25,7 +27,7 @@ from rankmbo.objectives import (
     zero_one_rank_loss,
     _draw_ranked_direct,
 )
-from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate
+from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate, zscore_adapt
 from rankmbo.tasks import OfflineDataset, ValidationError, quadratic_bowl_task
 
 
@@ -41,10 +43,7 @@ def brute_force_partition(scores, near_fraction):
 def small_dataset(designs, scores):
     dim = np.atleast_2d(designs).shape[1]
     task = quadratic_bowl_task(dim=dim, halfwidth=100.0)
-    return OfflineDataset(
-        designs=designs, scores=scores, task=task, seed=0,
-        pool_size=len(scores), keep_fraction=1.0,
-    )
+    return OfflineDataset(designs=designs, scores=scores, task=task)
 
 
 def wide_init_surrogate(dim, hidden, seed):
@@ -347,6 +346,35 @@ class TestTrainMse:
             assert np.array_equal(a, b)
 
 
+class TestDescend:
+    @pytest.mark.parametrize(
+        "train, config",
+        [
+            (train_mse, TrainConfig(iterations=3, batch_size=4, seed=1)),
+            (train_dar, DarConfig(iterations=3, batch_size=4, near_fraction=0.5, seed=1)),
+        ],
+    )
+    def test_optimizer_is_freed_before_adaptation(self, monkeypatch, train, config):
+        # adapting while the optimizer and its gradient views are alive keeps
+        # three parameter-sized buffers beside the adaptation's forward pass
+        refs = []
+
+        class Recording(objectives._Optimizer):
+            def __init__(self, model, config):
+                super().__init__(model, config)
+                refs.extend([weakref.ref(self), weakref.ref(self.grad)])
+
+        def adapt(model, dataset):
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+            return zscore_adapt(model, dataset)
+
+        monkeypatch.setattr(objectives, "_Optimizer", Recording)
+        monkeypatch.setattr(objectives, "zscore_adapt", adapt)
+        ds = small_dataset([[0.0], [0.5], [1.0]], [0.0, 0.2, 1.0])
+        model, _ = train(init_surrogate(1, 8, seed=0), ds, config)
+        assert model.is_adapted and len(refs) == 2
+
+
 class TestTrainRankGlobal:
     def test_separates_two_points(self):
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
@@ -373,8 +401,10 @@ class TestTrainRankGlobal:
         ds = small_dataset([[0.0], [1.0]], [0.0, 1.0])
         model = wide_init_surrogate(1, 8, seed=2)
         model.weights[1][0, 0] = 1e308
-        with pytest.raises(FloatingPointError, match="layer"):
+        with pytest.raises(TrainingDiverged, match="layer") as exc:
             train_rank_global(model, ds, RankConfig(iterations=5, batch_size=4, seed=0))
+        assert exc.value.iteration == 0
+        assert isinstance(exc.value.__cause__, FloatingPointError)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_adam_moment_overflow_raises(self):

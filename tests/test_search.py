@@ -48,8 +48,7 @@ def make_dataset(m=40, seed=0):
     designs = rng.uniform(task.lower, task.upper, size=(m, 2))
     scores = task.evaluate_batch(designs)
     return OfflineDataset(
-        designs=designs, scores=scores, task=task, seed=seed,
-        pool_size=m, keep_fraction=1.0,
+        designs=designs, scores=scores, task=task,
         y_min_full=float(scores.min()), y_max_full=float(scores.max()),
     )
 

@@ -7,7 +7,6 @@ from rankmbo.tasks import (
     OfflineDataset,
     ValidationError,
     branin_task,
-    eval_quadratic_bowl,
     get_task,
     make_offline_dataset,
     normalized_score,
@@ -54,30 +53,34 @@ class TestBranin:
             assert ball.max() == pytest.approx(BRANIN_MAX_VALUE, abs=6e-3)
 
 
+def bowl(center, *rows):
+    """The values at the given rows of the bowl centred at ``center``."""
+    center = np.asarray(center, dtype=float)
+    task = quadratic_bowl_task(dim=len(center), center=center)
+    return task.evaluate_batch(np.array(rows, dtype=float))
+
+
 class TestQuadraticBowl:
     def test_center_is_zero(self):
-        c = np.array([1.0, 2.0, 3.0])
-        assert eval_quadratic_bowl(c, c) == 0.0
+        c = [1.0, 2.0, 3.0]
+        assert bowl(c, c)[0] == 0.0
 
     def test_unit_offset(self):
-        c = np.array([1.0, 2.0])
-        x = c + np.array([1.0, 0.0])
-        assert eval_quadratic_bowl(x, c) == -1.0
+        assert bowl([1.0, 2.0], [2.0, 2.0])[0] == -1.0
 
     def test_three_four_five(self):
-        assert eval_quadratic_bowl(np.array([3.0, 4.0]), np.zeros(2)) == -25.0
+        assert bowl([0.0, 0.0], [3.0, 4.0])[0] == -25.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_quadratic_bowl(np.array([1.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="center"):
+            quadratic_bowl_task(dim=2, center=np.zeros(1))
 
     def test_batch_matches_scalar_evaluator(self):
-        c = np.array([1.0, -2.0, 0.5])
-        task = quadratic_bowl_task(dim=3, center=c)
-        X = np.random.default_rng(4).uniform(task.lower, task.upper, size=(50, 3))
-        assert np.array_equal(
-            task.evaluate_batch(X), [eval_quadratic_bowl(x, c) for x in X]
-        )
+        # oracle: a per-row scalar evaluation in plain Python
+        c = [1.0, -2.0, 0.5]
+        X = np.random.default_rng(4).uniform(-4.0, 4.0, size=(50, 3))
+        scalar = [-sum((xi - ci) ** 2 for xi, ci in zip(x, c)) for x in X.tolist()]
+        assert np.array_equal(bowl(c, *X), scalar)
 
 
 class TestMakeOfflineDataset:
@@ -159,7 +162,7 @@ def with_extrema(y_min, y_max):
     """A two-point dataset carrying the given pool extrema."""
     return OfflineDataset(
         designs=[[0.0], [1.0]], scores=[0.0, 1.0], task=quadratic_bowl_task(dim=1),
-        seed=0, pool_size=2, keep_fraction=1.0, y_min_full=y_min, y_max_full=y_max,
+        y_min_full=y_min, y_max_full=y_max,
     )
 
 
@@ -216,18 +219,12 @@ class TestDatasetValidationAndIO:
     def test_score_design_length_mismatch(self):
         task = quadratic_bowl_task(dim=1)
         with pytest.raises(ValueError):
-            OfflineDataset(
-                designs=[[0.0], [1.0]], scores=[0.0], task=task, seed=0,
-                pool_size=2, keep_fraction=1.0,
-            )
+            OfflineDataset(designs=[[0.0], [1.0]], scores=[0.0], task=task)
 
     def test_out_of_box_design_rejected(self):
         task = quadratic_bowl_task(dim=1, halfwidth=1.0)
         with pytest.raises(ValueError):
-            OfflineDataset(
-                designs=[[0.0], [2.0]], scores=[0.0, 1.0], task=task, seed=0,
-                pool_size=2, keep_fraction=1.0,
-            )
+            OfflineDataset(designs=[[0.0], [2.0]], scores=[0.0, 1.0], task=task)
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         task = branin_task()

@@ -177,9 +177,15 @@ def save_diagnostics(out: Path, report, audits: dict) -> list[str]:
 
 @contextmanager
 def _timed(stage_s: dict, stage: str):
-    """Adds the wall time of the block to ``stage_s[stage]``."""
+    """Adds the wall time of the block to ``stage_s[stage]``; an exception
+    that leaves the block gets ``stage`` as its ``run_stage``, which
+    ``error_record`` reports."""
     start = time.perf_counter()
-    yield
+    try:
+        yield
+    except Exception as exc:
+        exc.run_stage = stage
+        raise
     stage_s[stage] += time.perf_counter() - start
 
 
@@ -192,6 +198,20 @@ def _peak_rss_mb() -> float:
 def _minor_page_faults() -> int:
     """Minor page faults of this process so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _artifact_ids(out: Path) -> dict:
+    """(device, inode) of each of ``RUN_ARTIFACTS`` present in ``out``.  The
+    artifact writers replace a file by renaming a new one over it, so a file
+    whose id changed was written after the ids were taken."""
+    ids = {}
+    for name in RUN_ARTIFACTS:
+        try:
+            st = (out / name).stat()
+        except FileNotFoundError:
+            continue
+        ids[name] = (st.st_dev, st.st_ino)
+    return ids
 
 
 def run(
@@ -207,13 +227,29 @@ def run(
     stages and, under ``write``, every artifact write but the manifest's own.
     ``minor_page_faults`` counts the process's minor faults over the run:
     they depend on the heap the process already holds, so a first run in a
-    fresh process can take many more than a later one.
+    fresh process can take more than a later one.
+
+    A run that fails raises its exception with the stage it failed in as
+    ``run_stage`` (one of the ``stage_s`` keys), after removing every one of
+    ``RUN_ARTIFACTS`` it wrote; other files in ``out_dir``, and artifacts of
+    an earlier call that it did not overwrite, stay as they were.
     """
     started = time.perf_counter()
     faults_before = _minor_page_faults()
     validate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    before = _artifact_ids(out)
+    try:
+        return _run_stages(cfg, out, profile, started, faults_before)
+    except Exception:
+        for name, ident in _artifact_ids(out).items():
+            if before.get(name) != ident:
+                (out / name).unlink()
+        raise
+
+
+def _run_stages(cfg, out: Path, profile, started: float, faults_before: int) -> dict:
     stage_s = dict.fromkeys(("data", "train", "search", "diagnostics", "write"), 0.0)
 
     with _timed(stage_s, "data"):
@@ -270,9 +306,14 @@ def run(
 
 def error_record(exc: Exception, stage: str) -> dict:
     """The JSON diagnostic of a failure: exception type, message, the stage
-    it failed in and, for a ValidationError, the config field it names or,
+    it failed in (the ``run`` stage for an exception ``run`` raised from one,
+    else ``stage``) and, for a ValidationError, the config field it names or,
     for a TrainingDiverged, the iteration it diverged at."""
-    record = {"error": type(exc).__name__, "message": str(exc), "stage": stage}
+    record = {
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "stage": getattr(exc, "run_stage", stage),
+    }
     if isinstance(exc, ValidationError):
         record["field"] = exc.field
     if isinstance(exc, TrainingDiverged):

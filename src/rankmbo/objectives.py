@@ -303,20 +303,26 @@ def _descend(
     non-finite activation (the message names its layer) or an overflowed
     optimizer state raises ``TrainingDiverged`` with the iteration.  Returns
     the model, tagged with ``objective`` and the config, and the loss trace.
-    The optimizer and its gradient views are freed before the output is
-    adapted: adapting while they were held raised paper-width peak RSS from
-    259 to 322 MB.
+    Every iteration's forward pass writes into one ``_score_workspace``,
+    allocated for the first batch's row count (and again only for a larger
+    batch), and the backward pass consumes that cache, so no later
+    iteration allocates an activation-sized array.  The workspace, the optimizer and its gradient views are freed
+    before the output is adapted: adapting while the optimizer was held
+    raised paper-width peak RSS from 259 to 322 MB.
     """
     if config.seed is None:  # the [train] section itself; train_config() resolves it
         raise ValidationError("seed", "must be set for reproducible training")
     _standardize_inputs(model, dataset.designs)
     rng = np.random.default_rng(config.seed)
     opt = _Optimizer(model, config)
+    work = None
     trace = np.empty(config.iterations)
     for it in range(config.iterations):
         inputs, loss_fn = next_batch(rng)
+        if work is None or len(work[0]) < len(inputs):
+            work = model._score_workspace(len(inputs))
         try:
-            loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads)
+            loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads, work=work)
         except FloatingPointError as exc:
             raise TrainingDiverged(it, f"{exc} at iteration {it}") from exc
         if grads is None:
@@ -326,7 +332,7 @@ def _descend(
             raise TrainingDiverged(
                 it, f"optimizer state became non-finite at iteration {it}"
             )
-    del opt, grads  # grads are views of the optimizer's gradient buffer
+    del opt, grads, work  # grads are views of the optimizer's gradient buffer
     zscore_adapt(model, dataset)
     model.objective = objective
     model.train_config = config.to_dict()

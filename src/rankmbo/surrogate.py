@@ -19,25 +19,32 @@ workspace (``Z``, ``H1``, ``H2``, the output column and a finite mask),
 allocated once per call, that ``_forward_cache`` writes into with ``out=``;
 so scoring n rows peaks at two block x hidden float64 arrays plus the n
 scores, and a large call does not map and fault in fresh pages per block.
-A call of at most one block is a single allocating pass, as every training
-batch, search step and shipped desk or paper pool is.  In a larger call a
-score's last bit can depend on its block, which the row's position fixes:
-OpenBLAS rounds the output product, and for blocks of 16 rows or fewer the
-hidden products, differently at different row counts.
+A scoring call of at most one block is a single allocating pass, as every
+search step and shipped desk or paper pool is.  In a larger call a score's
+last bit can depend on its block, which the row's position fixes: OpenBLAS
+rounds the output product, and for blocks of 16 rows or fewer the hidden
+products, differently at different row counts.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
 its upstream gradients through the cached activations, writing them straight
-into views of the optimizer's flat gradient buffer.  The backward pass runs
-on the rows with nonzero upstream gradient only: a margin-loss pair past the
+into views of the optimizer's flat gradient buffer.  The trainer passes one
+workspace, sized for its batch, to every step, and the backward pass consumes
+the cache: each hidden layer's deltas overwrite its activations once its ReLU
+mask is taken.  So a step after the first allocates no activation-sized
+float array, and a fresh process does not map and fault in new pages for
+its activations and deltas on every iteration.  The backward pass runs on
+the rows with nonzero upstream gradient only: a margin-loss pair past the
 margin has exactly zero gradient, and most pairs are past it after the first
-iterations.  When every row is active, as in every mse step, the cached
+iterations.  Those rows are gathered into new arrays, whose deltas overwrite
+them in turn; when every row is active, as in every mse step, the cached
 arrays are used as they are.  The one optimizer is Adam with fixed constants
 and no weight decay.  It keeps its moments as flat buffers too and runs its
 update over fixed cache-sized blocks of them: each block's update goes into
 a block-sized scratch and is subtracted in place from the same slice of the
-model's flat buffer.  At paper width (4.2M parameters) a step therefore
-allocates nothing and holds no parameter-sized update buffer, and the
+model's flat buffer, and the finite check of the second moment runs block by
+block too.  At paper width (4.2M parameters) a step therefore allocates
+nothing and holds no parameter-sized update buffer or mask, and the
 arithmetic, operation for operation, is that of the plain whole-buffer
 expression, so results are bit-identical to it.
 
@@ -241,7 +248,7 @@ class MlpSurrogate:
         _, cache = self._forward_cache(X)
         return self._backward(cache, up)
 
-    def loss_and_grads(self, X: np.ndarray, loss_fn, out=None):
+    def loss_and_grads(self, X: np.ndarray, loss_fn, out=None, work=None):
         """Loss and parameter gradients of one batch from a single forward pass.
 
         ``loss_fn(scores) -> (loss, upstream)`` receives the network outputs for
@@ -251,8 +258,11 @@ class MlpSurrogate:
         ``None``.  ``out``, when given, is a ``(grads_w, grads_b)`` pair shaped
         like the parameters, such as ``param_views`` of a flat buffer; the
         gradients are written into it and ``out`` itself is returned.
+        ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
+        rows that the forward pass writes into and the backward pass consumes,
+        so ``scores`` is a view of it that the next call overwrites.
         """
-        scores, cache = self._forward_cache(X)
+        scores, cache = self._forward_cache(X, work)
         loss, upstream = loss_fn(scores)
         if not np.isfinite(loss):
             return loss, None
@@ -262,6 +272,13 @@ class MlpSurrogate:
         return loss, self._backward(cache, up, out)
 
     def _backward(self, cache, up: np.ndarray, out=None):
+        """Parameter gradients of ``sum_i up_i * h(x_i)`` from a forward
+        cache, which the pass consumes: each hidden layer's deltas are
+        written over its activations once its ReLU mask and its last read
+        are done, so afterwards ``H1`` and ``H2`` hold deltas, not
+        activations.  The operations are those of the allocating expressions
+        ``d2 = up[:, None] * w3 * (H2 > 0)`` and ``d1 = (d2 @ W2) * (H1 > 0)``,
+        in the same order, so the gradients are bit-identical to them."""
         if out is None:
             out = self.param_views(np.empty(self.params.size))
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
@@ -273,10 +290,14 @@ class MlpSurrogate:
             up, Z, H1, H2 = up[rows], Z[rows], H1[rows], H2[rows]
         np.matmul(up[None, :], H2, out=gw3)
         gb3[0] = up.sum()
-        d2 = up[:, None] * self.weights[2][0] * (H2 > 0.0)
+        mask = H2 > 0.0
+        d2 = np.multiply(up[:, None], self.weights[2][0], out=H2)
+        d2 *= mask
         np.matmul(d2.T, H1, out=gw2)
         np.sum(d2, axis=0, out=gb2)
-        d1 = (d2 @ self.weights[1]) * (H1 > 0.0)
+        mask = H1 > 0.0
+        d1 = np.matmul(d2, self.weights[1], out=H1)
+        d1 *= mask
         np.matmul(d1.T, Z, out=gw1)
         np.sum(d1, axis=0, out=gb1)
         return out
@@ -447,10 +468,11 @@ class _Optimizer:
     ``model.param_views`` of the gradient buffer; the caller fills it, through
     ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``, before each
     ``step``, which reads nothing else.  A step runs in two passes over fixed
-    ``_BLOCK`` slices of the buffers: the first updates the moments, then one
-    check over all of ``v`` runs before the second computes each block's
-    update into a block-sized scratch and subtracts it in place from the same
-    slice of ``model.params``.  There is no parameter-sized update buffer, so
+    ``_BLOCK`` slices of the buffers: the first updates the moments and
+    checks each block of ``v`` into a block-sized bool scratch, and only when
+    every block is finite does the second compute each block's update into a
+    block-sized scratch and subtract it in place from the same slice of
+    ``model.params``.  There is no parameter-sized update buffer or mask, so
     a step at paper width allocates nothing and keeps only the gradient and
     the two moments beside the model.
     """
@@ -464,11 +486,12 @@ class _Optimizer:
         self.grad, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
         self.grads = model.param_views(self.grad)
         update, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        finite = np.empty(min(n, _BLOCK), dtype=bool)
         self._blocks = []
         for start in range(0, n, _BLOCK):
             sl, k = slice(start, start + _BLOCK), min(_BLOCK, n - start)
             bufs = (self.grad[sl], self.m[sl], self.v[sl], update[:k], scratch[:k])
-            self._blocks.append(bufs + (model.params[sl],))
+            self._blocks.append(bufs + (finite[:k], model.params[sl]))
 
     def step(self) -> bool:
         """Apply one update from the gradients in ``grads`` to the parameters
@@ -480,15 +503,17 @@ class _Optimizer:
         self.t += 1
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        for g, m, v, _, s, _ in self._blocks:
+        finite = True
+        for g, m, v, _, s, f, _ in self._blocks:
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
             np.square(g, out=s)
             v += np.multiply(1 - b2, s, out=s)
-        if not np.isfinite(self.v).all():
+            finite &= bool(np.isfinite(v, out=f).all())
+        if not finite:
             return False
-        for _, m, v, u, s, p in self._blocks:
+        for _, m, v, u, s, _, p in self._blocks:
             np.divide(m, corr1, out=u)
             u *= cfg.learning_rate
             np.divide(v, corr2, out=s)

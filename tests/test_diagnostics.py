@@ -538,6 +538,30 @@ class TestAuditMseToRank:
         )
         assert rep.rhs == 4.0 / rep.value_gap**2 * mse
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.floats(-100.0, 100.0),
+        gap=st.floats(1e-3, 10.0),
+        dim=st.integers(1, 3),
+    )
+    def test_constant_two_bound_is_attained(self, f, gap, dim):
+        # a near design at true value f and a sub design at f - gap, each
+        # scored gap/2 towards the other, f - gap/2: they tie, so the error
+        # is 1, and each side's squared error is gap^2/4.  The audit's
+        # constant-4 rhs is then 2, so the constant-2 bound, half of it,
+        # equals the error: that bound is attained.
+        near, sub = np.zeros((1, dim)), np.ones((1, dim))
+        f_near, f_sub = np.array([f]), np.array([f - gap])
+        tie = f - gap / 2
+
+        def scorer(X):
+            return np.full(len(X), tie)
+
+        rep = audit_mse_to_rank(scorer, near, sub, f_near, f_sub)
+        assert rep.applicable and rep.holds
+        assert rep.lhs == 1.0
+        assert rep.rhs == pytest.approx(2.0, rel=1e-6)
+
     def test_random_scorers_never_violate(self):
         near, sub, f_near, f_sub, _ = self._pool(seed=1)
         rng = np.random.default_rng(2)

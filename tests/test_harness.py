@@ -501,6 +501,15 @@ class TestSweep:
         )
         assert manifest["objective"] == "mse"
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_job_names_its_stage_and_leaves_no_artifacts(self, tmp_path):
+        cfg = parse_config(FAST_CFG.replace("learning_rate = 0.001", "learning_rate = 1e200"))
+        rows = sweep(cfg, {}, seeds=[0], out_dir=tmp_path / "sw")
+        assert rows[0]["n_failed"] == 1
+        (failure,) = json.loads((tmp_path / "sw" / "failures.json").read_text())
+        assert (failure["error"], failure["stage"]) == ("TrainingDiverged", "train")
+        assert list((tmp_path / "sw" / "cell_000" / "seed_0").iterdir()) == []
+
     def test_empty_seed_list_rejected_before_writing(self, tmp_path):
         out = tmp_path / "sw"
         with pytest.raises(ValidationError) as excinfo:
@@ -873,8 +882,10 @@ class TestCliMain:
         assert not (out / "error.json").exists()
         assert (out / "search.csv").is_file()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_diverging_training_reports_its_iteration(self, tmp_path, capsys):
+    @staticmethod
+    def _diverging_cfg(tmp_path):
+        """The mse desk preset at learning rate 1e200 and 50 iterations,
+        whose training diverges within a few iterations."""
         text = preset_path("branin_mse_desk").read_text()
         text = text.replace("learning_rate = 0.0003", "learning_rate = 1e200")
         text = text.replace("iterations = 5000", "iterations = 50")
@@ -882,13 +893,41 @@ class TestCliMain:
         cfg_file.write_text(text)
         train = load_config(cfg_file).train
         assert (train.learning_rate, train.iterations) == (1e200, 50)
+        return cfg_file
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_training_reports_its_iteration(self, tmp_path, capsys):
+        cfg_file = self._diverging_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (record["error"], record["stage"]) == ("TrainingDiverged", "run")
+        assert (record["error"], record["stage"]) == ("TrainingDiverged", "train")
         assert type(record["iteration"]) is int and 0 <= record["iteration"] < 50
         assert f"at iteration {record['iteration']}" in record["message"]
         assert json.loads((out / "error.json").read_text()) == record
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_run_leaves_only_error_json(self, tmp_path, capsys):
+        # the data stage wrote dataset.csv before training diverged
+        cfg_file = self._diverging_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["stage"]) == ("TrainingDiverged", "train")
+        assert type(record["iteration"]) is int
+        assert [path.name for path in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_run_keeps_the_files_it_did_not_write(self, tmp_path, capsys):
+        cfg_file = self._diverging_cfg(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = {"notes.txt": b"mine", "model.json": b"an earlier model", "search.csv": b"x"}
+        for name, data in kept.items():
+            (out / name).write_bytes(data)
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        left = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert left.pop("error.json") and left == kept
 
     def test_search_and_diagnose_in_a_run_directory_reproduce_it(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

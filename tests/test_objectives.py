@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -373,6 +374,40 @@ class TestDescend:
         ds = small_dataset([[0.0], [0.5], [1.0]], [0.0, 0.2, 1.0])
         model, _ = train(init_surrogate(1, 8, seed=0), ds, config)
         assert model.is_adapted and len(refs) == 2
+
+    def test_iterations_after_the_first_allocate_no_activation_array(self):
+        # the first iteration allocates the forward workspace; later ones
+        # reuse it, and the backward pass writes its deltas over it.  What
+        # a later iteration still allocates is the batch, the upstream
+        # gradient, a bool ReLU mask and numpy's ufunc buffers for broadcast
+        # operands (at most 8192 entries each, at any batch size).
+        rows, hidden, iterations = 256, 256, 8
+        rng = np.random.default_rng(0)
+        designs = rng.normal(size=(100, 2))
+        ds = small_dataset(designs, -np.sum(designs**2, axis=1))
+        starts, peaks = [], []
+
+        def next_batch(rng):
+            # each draw closes the previous iteration and opens the next
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            X = rng.normal(size=(rows, 2))
+            # every other batch has no active row, so nothing is gathered
+            scale = 2.0 / rows if len(starts) % 2 else 0.0
+            return X, lambda s: (float(np.mean(s**2)), scale * s)
+
+        config = TrainConfig(iterations=iterations, batch_size=rows, seed=0)
+        tracemalloc.start()
+        try:
+            objectives._descend(init_surrogate(2, hidden, seed=0), ds, config, next_batch, "t")
+        finally:
+            tracemalloc.stop()
+        grown = [peak - start for start, peak in zip(starts, peaks[1:])]
+        assert len(grown) == iterations - 1
+        array = rows * hidden * 8
+        assert grown[0] > 2 * array  # the workspace
+        assert max(grown[1:]) < array
 
 
 class TestTrainRankGlobal:

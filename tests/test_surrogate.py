@@ -583,6 +583,45 @@ class TestLossAndGrads:
             m.loss_and_grads(np.zeros((3, 2)), lambda s: (0.0, np.zeros(2)))
 
 
+class TestTrainingWorkspace:
+    """``loss_and_grads(..., work=)`` writes the forward pass into a reused
+    workspace and the backward pass consumes it; every call must equal the
+    allocating call bit for bit, whatever the previous call left in it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 8),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(st.sampled_from(["all", "some", "none"]), min_size=3, max_size=6),
+        data=st.data(),
+    )
+    def test_reused_workspace_equals_allocating_pass(self, dim, hidden, rows, seed, calls, data):
+        rng = np.random.default_rng(seed)
+        m = random_model(dim, hidden, seed)
+        work = m._score_workspace(rows)
+        for active in calls:
+            n = data.draw(st.integers(1, rows))
+            X = rng.normal(scale=3.0, size=(n, dim))
+            up = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.01, 2.0, size=n)
+            if active == "some":
+                up[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
+            elif active == "none":
+                up[:] = 0.0
+            seen = []
+
+            def loss_fn(scores):
+                seen.append(scores.copy())
+                return float(np.dot(up, scores)), up
+
+            ref_loss, (ref_w, ref_b) = m.loss_and_grads(X, loss_fn)
+            loss, (gw, gb) = m.loss_and_grads(X, loss_fn, work=work)
+            assert same_bits(seen[1], seen[0]) and loss == ref_loss
+            for a, b in zip(gw + gb, ref_w + ref_b):
+                assert same_bits(a, b)
+
+
 class TestActiveRowBackward:
     """The backward pass skips rows whose upstream gradient is exactly zero."""
 
@@ -719,6 +758,20 @@ class TestOptimizer:
         n = init_surrogate(3, 200, seed=1).num_params
         assert n > _BLOCK and n % _BLOCK != 0
         assert_matches_per_layer_reference(200, steps=10)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # 41201 parameters; a whole-buffer finite check of v takes 41 kB
+        model = init_surrogate(3, 200, seed=1)
+        opt = _Optimizer(model, TrainConfig())
+        model.loss_and_grads(np.ones((2, 3)), lambda s: (0.0, np.ones(2)), out=opt.grads)
+        opt.step()
+        tracemalloc.start()
+        try:
+            assert opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_moment_overflow_in_last_block_leaves_model_untouched(self):

@@ -4,10 +4,12 @@ Subcommands mirror the pipeline stages (gen-data, train, search, diagnose),
 plus run (all stages), sweep (grid of runs), and compare (join manifests).
 Every command validates its config, flags included, before it writes.  Each
 staged command rebuilds the offline dataset from the config, as ``run`` does,
-and reads only a ``model.json`` trained under that config (search, diagnose),
-so they work in a ``run`` directory too; only ``run`` writes ``manifest.json``.
-Exit codes: 0 ok, 1 validation error, 2 runtime error.  A runtime error
-writes ``error.json`` into an existing ``--out`` directory, and a later
+and reads only a ``model.json`` trained under that config, its ``[task]``
+section included (search, diagnose), so they work in a ``run`` directory too;
+only ``run`` writes ``manifest.json``.  Exit codes: 0 ok, 1 validation error,
+2 runtime error.  A failing command prints a JSON diagnostic to stderr, with
+no numpy overflow or invalid-value warning ahead of it; a runtime error also
+writes it as ``error.json`` into an existing ``--out`` directory, and a later
 command that succeeds there removes it.
 """
 
@@ -18,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .artifacts import write_json
 from .config import PROFILES, ValidationError, apply_profile, load_config, reseed, validate
 from .diagnostics import save_report_summary
@@ -27,7 +31,7 @@ from .harness import sweep, train_model
 from .objectives import get_objective
 from .search import save_search_result
 from .surrogate import load_model
-from .tasks import get_task, save_dataset
+from .tasks import save_dataset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,14 +95,16 @@ def _stage(args, trained: bool):
 
 
 def _trained_model(cfg, path: Path):
-    """The model at ``path``, unless a config key differs from its training."""
+    """The model at ``path``, unless a config key differs from its training:
+    the ``[task]`` keys it recorded (a model.json without them differs in
+    ``task.name``), then the train keys."""
     model = load_model(path)
     expected = cfg.train_config(get_objective(cfg.train.objective)[0]).to_dict()
     for key, got, want in [
+        *((f"task.{k}", (model.task or {}).get(k), v) for k, v in cfg.to_dict()["task"].items()),
         ("train.objective", model.objective, cfg.train.objective),
         ("train.hidden", model.layer_sizes[1:3], [cfg.train.hidden] * 2),
         *((f"train.{k}", (model.train_config or {}).get(k), v) for k, v in expected.items()),
-        ("task.name", f"dim {model.dim}", f"dim {get_task(cfg.task.name).dim}"),
     ]:
         if got != want:
             raise ValidationError(key, f"model.json was trained with {got}, not {want}")
@@ -189,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     command = _COMMANDS[args.command]
     out = Path(args.out)
     try:
-        code = command(args)
+        # the finite checks raise on overflow, so numpy's warning would only
+        # print ahead of the JSON diagnostic
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = command(args)
     except Exception as exc:
         record = error_record(exc, args.command)
         print(json.dumps(record), file=sys.stderr)

@@ -95,11 +95,14 @@ def build_dataset(cfg: ExperimentConfig):
 
 def train_model(cfg: ExperimentConfig, dataset):
     """Train the configured objective; every trainer returns a model adapted
-    for the search stage."""
+    for the search stage.  The model records the config's ``[task]`` section,
+    which names the data it was trained on."""
     config_cls, trainer = get_objective(cfg.train.objective)
     config = cfg.train_config(config_cls)
     model = init_surrogate(dataset.task.dim, cfg.train.hidden, config.seed)
-    return trainer(model, dataset, config)
+    model, trace = trainer(model, dataset, config)
+    model.task = cfg.to_dict()["task"]
+    return model, trace
 
 
 def run_search(cfg: ExperimentConfig, model, dataset):
@@ -332,9 +335,10 @@ def sweep(
 
     Per-cell failures do not stop the sweep: each failed job is counted in
     the summary and recorded in failures.json as its cell index and seed plus
-    its ``error_record``.  Returns (and writes to summary.csv) one row per
-    cell with the mean and standard deviation of the best normalized score
-    across usable seeds.
+    its ``error_record``, and its ``cell_<i>/seed_<s>`` directory, then its
+    ``cell_<i>`` directory, is removed when the failure left it empty.
+    Returns (and writes to summary.csv) one row per cell with the mean and
+    standard deviation of the best normalized score across usable seeds.
 
     Each job reseeds the config from its seed, then sets its cell's grid
     values, so a grid axis over a seed key (``task.seed``) wins over the
@@ -363,6 +367,11 @@ def sweep(
             manifest = run(job_cfg, job_dir)
             return ci, seed, manifest["search"]["best_normalized"], None
         except Exception as exc:  # recorded, sweep continues
+            for path in (job_dir, job_dir.parent):
+                try:
+                    path.rmdir()  # only when the failed run left it empty
+                except OSError:
+                    break
             return ci, seed, None, {"cell": ci, "seed": seed, **error_record(exc, "run")}
 
     outcomes = [_one(job) for job in jobs]

@@ -304,11 +304,12 @@ def _descend(
     optimizer state raises ``TrainingDiverged`` with the iteration.  Returns
     the model, tagged with ``objective`` and the config, and the loss trace.
     Every iteration's forward pass writes into one ``_score_workspace``,
-    allocated for the first batch's row count (and again only for a larger
-    batch), and the backward pass consumes that cache, so no later
-    iteration allocates an activation-sized array.  The workspace, the optimizer and its gradient views are freed
-    before the output is adapted: adapting while the optimizer was held
-    raised paper-width peak RSS from 259 to 322 MB.
+    allocated for the first batch's row count, which every trainer keeps
+    fixed, and the backward pass consumes that cache, so no later iteration
+    allocates an activation-sized array.  The workspace, the optimizer and
+    its gradient views are freed before the output is adapted: adapting
+    while the optimizer was held raised paper-width peak RSS from 259 to
+    322 MB.
     """
     if config.seed is None:  # the [train] section itself; train_config() resolves it
         raise ValidationError("seed", "must be set for reproducible training")
@@ -319,7 +320,7 @@ def _descend(
     trace = np.empty(config.iterations)
     for it in range(config.iterations):
         inputs, loss_fn = next_batch(rng)
-        if work is None or len(work[0]) < len(inputs):
+        if work is None:
             work = model._score_workspace(len(inputs))
         try:
             loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads, work=work)

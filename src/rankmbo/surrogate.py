@@ -8,22 +8,21 @@ input (design search).  The ReLU subgradient at exactly 0 is defined as 0,
 which keeps all gradients deterministic.
 
 One method, ``MlpSurrogate._forward_cache``, runs the hidden layers for
-scoring, training and the input gradient alike.  It caches one array per
-hidden layer: each layer's matmul output gets its bias added and, after a
-check that it is finite, its ReLU applied in place, so the cache is
+scoring, training and the input gradient alike, and it always writes into a
+workspace from ``_score_workspace``: ``Z``, ``H1``, ``H2`` and the output
+column.  Each layer's matmul output gets its bias added and, after a check
+that it is finite, its ReLU applied in place, so the cache is
 ``(Z, H1, H2)``.  The backward passes take each ReLU mask from ``H > 0``,
 which equals ``A > 0`` for the pre-activation ``A``.  ``forward_batch``
-runs it over fixed blocks of ``_SCORE_ROWS`` (4096) rows, writing each
-block's scores into one output vector.  The blocks of one call share one
-workspace (``Z``, ``H1``, ``H2``, the output column and a finite mask),
-allocated once per call, that ``_forward_cache`` writes into with ``out=``;
-so scoring n rows peaks at two block x hidden float64 arrays plus the n
-scores, and a large call does not map and fault in fresh pages per block.
-A scoring call of at most one block is a single allocating pass, as every
-search step and shipped desk or paper pool is.  In a larger call a score's
-last bit can depend on its block, which the row's position fixes: OpenBLAS
-rounds the output product, and for blocks of 16 rows or fewer the hidden
-products, differently at different row counts.
+runs it over fixed blocks of ``_SCORE_ROWS`` (4096) rows with one workspace
+of at most one block, allocated once per call, writing each block's scores
+into one output vector; so scoring n rows peaks at two block x hidden
+float64 arrays plus the n scores, and a large call does not map and fault
+in fresh pages per block.  A caller that scores once, such as
+``input_gradient_batch``, allocates a workspace for its rows.  In a call of
+more than one block a score's last bit can depend on its block, which the
+row's position fixes: OpenBLAS rounds the output product, and for blocks of
+16 rows or fewer the hidden products, differently at different row counts.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
@@ -42,9 +41,9 @@ arrays are used as they are.  The one optimizer is Adam with fixed constants
 and no weight decay.  It keeps its moments as flat buffers too and runs its
 update over fixed cache-sized blocks of them: each block's update goes into
 a block-sized scratch and is subtracted in place from the same slice of the
-model's flat buffer, and the finite check of the second moment runs block by
-block too.  At paper width (4.2M parameters) a step therefore allocates
-nothing and holds no parameter-sized update buffer or mask, and the
+model's flat buffer, and the finite check of the second moment reads each
+block's maximum.  At paper width (4.2M parameters) a step therefore
+allocates nothing and holds no parameter-sized update buffer or mask, and the
 arithmetic, operation for operation, is that of the plain whole-buffer
 expression, so results are bit-identical to it.
 
@@ -148,6 +147,7 @@ class MlpSurrogate:
         self.adapt_degenerate: bool = False
         self.objective: str | None = None
         self.train_config: dict | None = None
+        self.task: dict | None = None
 
     @property
     def dim(self) -> int:
@@ -184,42 +184,37 @@ class MlpSurrogate:
 
     # -- forward and gradients ------------------------------------------------
 
-    def _forward_cache(self, X: np.ndarray, work=None):
-        """Scores and the ``(Z, H1, H2)`` cache of the rows of ``X``.
-
-        ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
-        rows; every array of the pass is then written into its leading
-        entries, and the returned scores and cache are views of it.
-        """
+    def _forward_cache(self, X: np.ndarray, work):
+        """Scores and the ``(Z, H1, H2)`` cache of the rows of ``X``, written
+        into the leading ``len(X)`` rows of ``work``, a ``_score_workspace``
+        of at least that many rows; the returned arrays are views of it."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected inputs of shape (n, {self.dim})")
-        Z, H1, H2, col = (None,) * 4 if work is None else (a[: len(X)] for a in work[:4])
-        finite = None if work is None else work[4]
-        Z = np.divide(np.subtract(X, self.x_mean, out=Z), self.x_std, out=Z)
-        H1 = np.matmul(Z, self.weights[0].T, out=H1)
+        Z, H1, H2, col = (a[: len(X)] for a in work)
+        np.divide(np.subtract(X, self.x_mean, out=Z), self.x_std, out=Z)
+        np.matmul(Z, self.weights[0].T, out=H1)
         H1 += self.biases[0]
-        _check_finite(H1, 1, finite)
+        _check_finite(H1, 1)
         np.maximum(H1, 0.0, out=H1)
-        H2 = np.matmul(H1, self.weights[1].T, out=H2)
+        np.matmul(H1, self.weights[1].T, out=H2)
         H2 += self.biases[1]
-        _check_finite(H2, 2, finite)
+        _check_finite(H2, 2)
         np.maximum(H2, 0.0, out=H2)
-        out = np.matmul(H2, self.weights[2].T, out=col)
-        out += self.biases[2]
-        _check_finite(out, 3, finite)
-        return out[:, 0], (Z, H1, H2)
+        np.matmul(H2, self.weights[2].T, out=col)
+        col += self.biases[2]
+        _check_finite(col, 3)
+        return col[:, 0], (Z, H1, H2)
 
     def _score_workspace(self, rows: int):
-        """``Z``, ``H1``, ``H2``, the output column and a flat finite mask for
-        forward passes of up to ``rows`` rows."""
+        """``Z``, ``H1``, ``H2`` and the output column for forward passes of
+        up to ``rows`` rows."""
         h1, h2 = self.layer_sizes[1:3]
         return (
             np.empty((rows, self.dim)),
             np.empty((rows, h1)),
             np.empty((rows, h2)),
             np.empty((rows, 1)),
-            np.empty(rows * max(h1, h2), dtype=bool),
         )
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
@@ -228,11 +223,10 @@ class MlpSurrogate:
         block at any pool size.  The blocks share one workspace, allocated
         once per call."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or len(X) <= _SCORE_ROWS:  # the cache checks the shape
-            return self._forward_cache(X)[0]
-        work = self._score_workspace(_SCORE_ROWS)
+        work = self._score_workspace(min(len(X), _SCORE_ROWS))
         out = np.empty(len(X))
-        for start in range(0, len(X), _SCORE_ROWS):
+        # an empty X still runs one pass, which checks its shape
+        for start in range(0, len(X) or 1, _SCORE_ROWS):
             block = slice(start, start + _SCORE_ROWS)
             out[block] = self._forward_cache(X[block], work)[0]
         return out
@@ -241,12 +235,7 @@ class MlpSurrogate:
         self, batch_inputs: np.ndarray, upstream_grads: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Gradients of sum_i upstream_i * h(x_i) w.r.t. every weight and bias."""
-        X = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
-        up = np.asarray(upstream_grads, dtype=float).reshape(-1)
-        if len(up) != len(X):
-            raise ValueError("need one upstream gradient per batch input")
-        _, cache = self._forward_cache(X)
-        return self._backward(cache, up)
+        return self.loss_and_grads(batch_inputs, lambda _: (0.0, upstream_grads))[1]
 
     def loss_and_grads(self, X: np.ndarray, loss_fn, out=None, work=None):
         """Loss and parameter gradients of one batch from a single forward pass.
@@ -260,8 +249,11 @@ class MlpSurrogate:
         gradients are written into it and ``out`` itself is returned.
         ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
         rows that the forward pass writes into and the backward pass consumes,
-        so ``scores`` is a view of it that the next call overwrites.
+        so ``scores`` is a view of it that the next call overwrites.  Either
+        one is allocated for the call when not given.
         """
+        if work is None:
+            work = self._score_workspace(len(X))
         scores, cache = self._forward_cache(X, work)
         loss, upstream = loss_fn(scores)
         if not np.isfinite(loss):
@@ -269,18 +261,19 @@ class MlpSurrogate:
         up = np.asarray(upstream, dtype=float).reshape(-1)
         if len(up) != len(scores):
             raise ValueError("need one upstream gradient per batch input")
+        if out is None:
+            out = self.param_views(np.empty(self.params.size))
         return loss, self._backward(cache, up, out)
 
-    def _backward(self, cache, up: np.ndarray, out=None):
+    def _backward(self, cache, up: np.ndarray, out):
         """Parameter gradients of ``sum_i up_i * h(x_i)`` from a forward
         cache, which the pass consumes: each hidden layer's deltas are
         written over its activations once its ReLU mask and its last read
         are done, so afterwards ``H1`` and ``H2`` hold deltas, not
         activations.  The operations are those of the allocating expressions
         ``d2 = up[:, None] * w3 * (H2 > 0)`` and ``d1 = (d2 @ W2) * (H1 > 0)``,
-        in the same order, so the gradients are bit-identical to them."""
-        if out is None:
-            out = self.param_views(np.empty(self.params.size))
+        in the same order, so the gradients are bit-identical to them.  The
+        gradients are written into ``out``, a ``(grads_w, grads_b)`` pair."""
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, H1, H2 = cache
         # a row with zero upstream gradient adds exactly zero to every sum
@@ -304,7 +297,7 @@ class MlpSurrogate:
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of h at each row, w.r.t. the raw (unstandardized) input."""
-        _, (_, H1, H2) = self._forward_cache(X)
+        _, (_, H1, H2) = self._forward_cache(X, self._score_workspace(len(X)))
         v2 = self.weights[2][0][None, :] * (H2 > 0.0)
         v1 = (v2 @ self.weights[1]) * (H1 > 0.0)
         return (v1 @ self.weights[0]) / self.x_std
@@ -346,6 +339,7 @@ class MlpSurrogate:
             "adapt_degenerate": self.adapt_degenerate,
             "objective": self.objective,
             "train_config": self.train_config,
+            "task": self.task,
             "seed": self.seed,
         }
 
@@ -374,17 +368,13 @@ class MlpSurrogate:
         model.adapt_degenerate = bool(data.get("adapt_degenerate", False))
         model.objective = data.get("objective")
         model.train_config = data.get("train_config")
+        model.task = data.get("task")
         return model
 
 
-def _check_finite(A: np.ndarray, layer: int, mask: np.ndarray | None) -> None:
-    """Raises FloatingPointError naming ``layer`` unless ``A`` is finite;
-    ``mask``, when given, is a flat bool workspace of at least ``A.size``
-    entries.  Its leading entries are taken as one contiguous array: with a
-    strided ``out``, numpy 2.4's ``isfinite`` leaves some entries unwritten."""
-    if mask is not None:
-        mask = mask[: A.size].reshape(A.shape)
-    if not np.isfinite(A, out=mask).all():
+def _check_finite(A: np.ndarray, layer: int) -> None:
+    """Raises FloatingPointError naming ``layer`` unless ``A`` is finite."""
+    if not np.isfinite(A).all():
         raise FloatingPointError(f"non-finite activation in layer {layer}")
 
 
@@ -469,9 +459,9 @@ class _Optimizer:
     ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``, before each
     ``step``, which reads nothing else.  A step runs in two passes over fixed
     ``_BLOCK`` slices of the buffers: the first updates the moments and
-    checks each block of ``v`` into a block-sized bool scratch, and only when
-    every block is finite does the second compute each block's update into a
-    block-sized scratch and subtract it in place from the same slice of
+    checks each block of ``v`` by its maximum, and only when every block is
+    finite does the second compute each block's update into a block-sized
+    scratch and subtract it in place from the same slice of
     ``model.params``.  There is no parameter-sized update buffer or mask, so
     a step at paper width allocates nothing and keeps only the gradient and
     the two moments beside the model.
@@ -486,34 +476,36 @@ class _Optimizer:
         self.grad, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
         self.grads = model.param_views(self.grad)
         update, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-        finite = np.empty(min(n, _BLOCK), dtype=bool)
         self._blocks = []
         for start in range(0, n, _BLOCK):
             sl, k = slice(start, start + _BLOCK), min(_BLOCK, n - start)
-            bufs = (self.grad[sl], self.m[sl], self.v[sl], update[:k], scratch[:k])
-            self._blocks.append(bufs + (finite[:k], model.params[sl]))
+            self._blocks.append(
+                (self.grad[sl], self.m[sl], self.v[sl], update[:k], scratch[:k], model.params[sl])
+            )
 
     def step(self) -> bool:
         """Apply one update from the gradients in ``grads`` to the parameters
         of the model the optimizer was built for; return False, leaving them
         untouched, when the second moment has overflowed (an inf entry would
-        freeze its parameter silently)."""
+        freeze its parameter silently).  ``v`` is a sum of squares, so a
+        block is finite exactly when its maximum, which propagates NaN, is
+        below inf."""
         cfg = self.config
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         finite = True
-        for g, m, v, _, s, f, _ in self._blocks:
+        for g, m, v, _, s, _ in self._blocks:
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
             np.square(g, out=s)
             v += np.multiply(1 - b2, s, out=s)
-            finite &= bool(np.isfinite(v, out=f).all())
+            finite &= bool(v.max() < math.inf)
         if not finite:
             return False
-        for _, m, v, u, s, _, p in self._blocks:
+        for _, m, v, u, s, p in self._blocks:
             np.divide(m, corr1, out=u)
             u *= cfg.learning_rate
             np.divide(v, corr2, out=s)

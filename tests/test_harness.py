@@ -508,7 +508,10 @@ class TestSweep:
         assert rows[0]["n_failed"] == 1
         (failure,) = json.loads((tmp_path / "sw" / "failures.json").read_text())
         assert (failure["error"], failure["stage"]) == ("TrainingDiverged", "train")
-        assert list((tmp_path / "sw" / "cell_000" / "seed_0").iterdir()) == []
+        assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == [
+            "failures.json",
+            "summary.csv",
+        ]
 
     def test_empty_seed_list_rejected_before_writing(self, tmp_path):
         out = tmp_path / "sw"
@@ -687,6 +690,19 @@ class TestCompare:
             compare([tmp_path / "missing"])
 
 
+def diverging_cfg(tmp_path):
+    """The mse desk preset at learning rate 1e200 and 50 iterations, whose
+    training diverges within a few iterations."""
+    text = preset_path("branin_mse_desk").read_text()
+    text = text.replace("learning_rate = 0.0003", "learning_rate = 1e200")
+    text = text.replace("iterations = 5000", "iterations = 50")
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(text)
+    train = load_config(cfg_file).train
+    assert (train.learning_rate, train.iterations) == (1e200, 50)
+    return cfg_file
+
+
 class TestCli:
     def _cli(self, *args):
         return subprocess.run(
@@ -694,6 +710,14 @@ class TestCli:
             capture_output=True,
             text=True,
         )
+
+    def test_diverging_run_prints_only_the_json_diagnostic(self, tmp_path):
+        out = tmp_path / "out"
+        proc = self._cli("run", "--config", str(diverging_cfg(tmp_path)), "--out", str(out))
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        record = json.loads(line)
+        assert (record["error"], record["stage"]) == ("TrainingDiverged", "train")
 
     def test_run_ok_exit_zero(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -882,22 +906,9 @@ class TestCliMain:
         assert not (out / "error.json").exists()
         assert (out / "search.csv").is_file()
 
-    @staticmethod
-    def _diverging_cfg(tmp_path):
-        """The mse desk preset at learning rate 1e200 and 50 iterations,
-        whose training diverges within a few iterations."""
-        text = preset_path("branin_mse_desk").read_text()
-        text = text.replace("learning_rate = 0.0003", "learning_rate = 1e200")
-        text = text.replace("iterations = 5000", "iterations = 50")
-        cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text(text)
-        train = load_config(cfg_file).train
-        assert (train.learning_rate, train.iterations) == (1e200, 50)
-        return cfg_file
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_training_reports_its_iteration(self, tmp_path, capsys):
-        cfg_file = self._diverging_cfg(tmp_path)
+        cfg_file = diverging_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -909,7 +920,7 @@ class TestCliMain:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failed_run_leaves_only_error_json(self, tmp_path, capsys):
         # the data stage wrote dataset.csv before training diverged
-        cfg_file = self._diverging_cfg(tmp_path)
+        cfg_file = diverging_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
         record = json.loads((out / "error.json").read_text())
@@ -919,7 +930,7 @@ class TestCliMain:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failed_run_keeps_the_files_it_did_not_write(self, tmp_path, capsys):
-        cfg_file = self._diverging_cfg(tmp_path)
+        cfg_file = diverging_cfg(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         kept = {"notes.txt": b"mine", "model.json": b"an earlier model", "search.csv": b"x"}
@@ -960,8 +971,24 @@ class TestCliMain:
             ("train.hidden", "hidden = 8", "hidden = 16"),
             ("train.learning_rate", "learning_rate = 0.001", "learning_rate = 0.002"),
             ("train.seed", "hidden = 8", "hidden = 8\nseed = 5"),
+            # a model trained on other data: every [task] key
+            ("task.name", "name = quadratic_bowl", "name = branin"),
+            ("task.pool_size", "pool_size = 200", "pool_size = 300"),
+            ("task.keep_fraction", "keep_fraction = 0.6", "keep_fraction = 0.5"),
+            ("task.noise_std", "keep_fraction = 0.6", "keep_fraction = 0.6\nnoise_std = 0.1"),
+            ("task.seed", "seed = 0", "seed = 1"),
         ],
-        ids=["objective", "hidden", "learning_rate", "seed"],
+        ids=[
+            "objective",
+            "hidden",
+            "learning_rate",
+            "seed",
+            "task_name",
+            "task_pool_size",
+            "task_keep_fraction",
+            "task_noise_std",
+            "task_seed",
+        ],
     )
     def test_model_of_another_config_refused(self, tmp_path, capsys, field, line, changed):
         cfg_file = tmp_path / "c.cfg"
@@ -980,6 +1007,16 @@ class TestCliMain:
         trained, model = load_model(out / "model.json"), init_surrogate(3, 8, seed=0)
         model.objective, model.train_config = trained.objective, trained.train_config
         save_model(model, out / "model.json")
+        self._assert_search_and_diagnose_refuse(cfg_file, out, "task.name", capsys)
+
+    def test_model_without_task_section_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+        data = json.loads((out / "model.json").read_text())
+        del data["task"]
+        (out / "model.json").write_text(json.dumps(data))
         self._assert_search_and_diagnose_refuse(cfg_file, out, "task.name", capsys)
 
     def test_train_needs_no_gen_data(self, tmp_path, capsys):

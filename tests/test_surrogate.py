@@ -275,6 +275,15 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_pass_equals_reference(m, X, work):
+    """The pass over ``X`` written into ``work`` gives the scores and the
+    ``(Z, H1, H2)`` of ``ref_forward_cache`` bit for bit."""
+    scores, (Z, H1, H2) = m._forward_cache(X, work)
+    ref_scores, (ref_Z, _, ref_H1, _, ref_H2) = ref_forward_cache(m, X)
+    for a, b in zip((scores, Z, H1, H2), (ref_scores, ref_Z, ref_H1, ref_H2)):
+        assert same_bits(a, b)
+
+
 # the autouse fixture patches the same block size for every example
 blocked_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -301,7 +310,8 @@ class TestBlockedScoring:
     def test_one_block_is_one_pass(self, dim, hidden, n, seed):
         m = random_model(dim, hidden, seed)
         X = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
-        assert same_bits(m.forward_batch(X), m._forward_cache(X)[0])
+        assert same_bits(m.forward_batch(X), ref_forward_cache(m, X)[0])
+        assert_pass_equals_reference(m, X, m._score_workspace(n))
 
     @blocked_settings
     @given(
@@ -313,8 +323,13 @@ class TestBlockedScoring:
     def test_many_rows_are_the_fixed_blocks_concatenated(self, dim, hidden, n, seed):
         m = random_model(dim, hidden, seed)
         X = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
-        blocks = [m._forward_cache(X[s : s + self.BLOCK])[0] for s in range(0, n, self.BLOCK)]
-        assert same_bits(m.forward_batch(X), np.concatenate(blocks))
+        blocks = [X[s : s + self.BLOCK] for s in range(0, n, self.BLOCK)]
+        assert same_bits(
+            m.forward_batch(X), np.concatenate([ref_forward_cache(m, b)[0] for b in blocks])
+        )
+        work = m._score_workspace(self.BLOCK)
+        for block in blocks:
+            assert_pass_equals_reference(m, block, work)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @blocked_settings
@@ -337,7 +352,8 @@ class TestBlockedScoring:
 
 class TestScoreWorkspace:
     """``forward_batch`` passes one workspace to every block; each pass
-    written into it must equal the allocating pass over the same block."""
+    written into it must equal the reference's allocating pass over the same
+    block."""
 
     BLOCK = 64
 
@@ -356,7 +372,7 @@ class TestScoreWorkspace:
     def test_workspace_passes_equal_allocating_passes(self, dim, hidden, hidden2, n, seed):
         rng = np.random.default_rng(seed)
         m = random_model(dim, hidden, seed)
-        # unequal hidden widths, so the finite mask is sliced per layer
+        # unequal hidden widths, so H1 and H2 have their own shapes
         m.weights[1] = rng.normal(size=(hidden2, hidden))
         m.biases[1] = rng.normal(size=hidden2)
         m.weights[2] = rng.normal(size=(1, hidden2))
@@ -365,12 +381,8 @@ class TestScoreWorkspace:
         blocks = []
         for start in range(0, n, self.BLOCK):
             block = X[start : start + self.BLOCK]
-            ref_scores, ref_cache = m._forward_cache(block)
-            scores, cache = m._forward_cache(block, work)
-            assert same_bits(scores, ref_scores)
-            for a, b in zip(cache, ref_cache):
-                assert same_bits(a, b)
-            blocks.append(ref_scores)
+            assert_pass_equals_reference(m, block, work)
+            blocks.append(ref_forward_cache(m, block)[0])
         assert same_bits(m.forward_batch(X), np.concatenate(blocks))
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -406,9 +418,9 @@ class TestScoreWorkspace:
             return allocate(rows)
 
         monkeypatch.setattr(m, "_score_workspace", counted)
-        m.forward_batch(X)
-        m.forward_batch(X[: self.BLOCK])  # one block: the allocating pass
-        assert sizes == [self.BLOCK]
+        for rows in (len(X), self.BLOCK, 5):
+            m.forward_batch(X[:rows])
+        assert sizes == [self.BLOCK, self.BLOCK, 5]
 
 
 class TestParameterLayout:
@@ -788,6 +800,36 @@ class TestOptimizer:
         for p, b in zip(model.weights + model.biases, before):
             assert np.array_equal(p, b)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 41201 parameters: a full block and a partial last one
+        i=st.integers(0, 41200),
+        # a NaN or infinite gradient entry, or one whose square overflows,
+        # puts NaN or inf into v; v, a sum of squares, never holds -inf
+        poison=st.sampled_from(
+            [
+                ("grad", np.nan),
+                ("grad", np.inf),
+                ("grad", -np.inf),
+                ("grad", 1e200),
+                ("v", np.nan),
+                ("v", np.inf),
+            ]
+        ),
+    )
+    def test_nonfinite_second_moment_in_any_block_leaves_model_untouched(self, i, poison):
+        model = init_surrogate(3, 200, seed=1)
+        opt = _Optimizer(model, TrainConfig())
+        model.loss_and_grads(np.ones((2, 3)), lambda s: (0.0, np.ones(2)), out=opt.grads)
+        assert opt.step()
+        target, value = poison
+        getattr(opt, target)[i] = value
+        before = model.params.copy()
+        assert not opt.step()
+        assert not np.isfinite(opt.v[i])
+        assert same_bits(model.params, before)
+
 
 class TestInputGradient:
     def test_zero_model(self):
@@ -875,6 +917,7 @@ class TestPersistence:
         m.adapt_output(np.random.default_rng(0).normal(size=(20, 3)))
         m.objective = "dar"
         m.train_config = TrainConfig(seed=13).to_dict()
+        m.task = {"name": "branin", "pool_size": 5000, "keep_fraction": 0.6}
         path = tmp_path / "model.json"
         save_model(m, path)
         loaded = load_model(path)
@@ -885,6 +928,7 @@ class TestPersistence:
         assert loaded.adapt_mean == m.adapt_mean
         assert loaded.adapt_std == m.adapt_std
         assert loaded.objective == "dar"
+        assert loaded.task == m.task
         assert loaded.seed == 13
         X = np.random.default_rng(1).normal(size=(5, 3))
         assert np.array_equal(loaded.predict_adapted_batch(X), m.predict_adapted_batch(X))

@@ -1,5 +1,6 @@
 """Crash-safe artifact writes: every artifact goes through ``write_json`` or
-``write_csv``.
+``write_csv``, except ``model.json``, which ``surrogate.save_model`` streams
+through their ``_atomic_open``.
 
 Each is written to a temp file in its target's directory, then moved onto the
 target name with ``os.replace``.  A reader such as ``compare`` thus sees either

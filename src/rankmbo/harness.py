@@ -179,9 +179,11 @@ def save_diagnostics(out: Path, report, audits: dict) -> list[str]:
 
 
 @contextmanager
-def _timed(stage_s: dict, stage: str):
-    """Adds the wall time of the block to ``stage_s[stage]``; an exception
-    that leaves the block gets ``stage`` as its ``run_stage``, which
+def _timed(stage_s: dict, stage_peak: dict, stage: str):
+    """Adds the wall time of the block to ``stage_s[stage]`` and sets
+    ``stage_peak[stage]`` to the peak RSS when it ends; the peak never
+    falls, so for a repeated stage that is its largest.  An exception that
+    leaves the block gets ``stage`` as its ``run_stage``, which
     ``error_record`` reports."""
     start = time.perf_counter()
     try:
@@ -190,6 +192,7 @@ def _timed(stage_s: dict, stage: str):
         exc.run_stage = stage
         raise
     stage_s[stage] += time.perf_counter() - start
+    stage_peak[stage] = _peak_rss_mb()
 
 
 def _peak_rss_mb() -> float:
@@ -227,7 +230,10 @@ def run(
     The config is validated before anything is written, so a bad value raises
     ValidationError naming its field and leaves no directory behind.  The
     manifest's ``stage_s`` times the data, train, search and diagnostics
-    stages and, under ``write``, every artifact write but the manifest's own.
+    stages and, under ``write``, every artifact write but the manifest's own;
+    ``stage_peak_rss_mb`` gives the process's peak RSS as each of them
+    ended (for ``write``, the last one), so a stage that raised the peak
+    reads higher than the stage run before it.
     ``minor_page_faults`` counts the process's minor faults over the run:
     they depend on the heap the process already holds, so a first run in a
     fresh process can take more than a later one.
@@ -254,25 +260,26 @@ def run(
 
 def _run_stages(cfg, out: Path, profile, started: float, faults_before: int) -> dict:
     stage_s = dict.fromkeys(("data", "train", "search", "diagnostics", "write"), 0.0)
+    stage_peak = dict.fromkeys(stage_s, 0.0)
 
-    with _timed(stage_s, "data"):
+    with _timed(stage_s, stage_peak, "data"):
         _, dataset = build_dataset(cfg)
-    with _timed(stage_s, "write"):
+    with _timed(stage_s, stage_peak, "write"):
         save_dataset(dataset, out / "dataset.csv")
 
-    with _timed(stage_s, "train"):
+    with _timed(stage_s, stage_peak, "train"):
         model, trace = train_model(cfg, dataset)
-    with _timed(stage_s, "write"):
+    with _timed(stage_s, stage_peak, "write"):
         save_training(out, model, trace)
 
-    with _timed(stage_s, "search"):
+    with _timed(stage_s, stage_peak, "search"):
         result = run_search(cfg, model, dataset)
-    with _timed(stage_s, "write"):
+    with _timed(stage_s, stage_peak, "write"):
         save_search_result(result, out / "search.csv", out / "search.json")
 
-    with _timed(stage_s, "diagnostics"):
+    with _timed(stage_s, stage_peak, "diagnostics"):
         report, audits = run_diagnostics(cfg, model, dataset)
-    with _timed(stage_s, "write"):
+    with _timed(stage_s, stage_peak, "write"):
         audit_files = save_diagnostics(out, report, audits)
     audit_summary = {
         name: {
@@ -299,6 +306,7 @@ def _run_stages(cfg, out: Path, profile, started: float, faults_before: int) -> 
         "artifacts": sorted([*RUN_ARTIFACTS, *audit_files]),
         "stage_s": stage_s,
         "peak_rss_mb": _peak_rss_mb(),
+        "stage_peak_rss_mb": stage_peak,
         "minor_page_faults": _minor_page_faults() - faults_before,
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "wall_clock_s": time.perf_counter() - started,

@@ -305,11 +305,12 @@ def _descend(
     the model, tagged with ``objective`` and the config, and the loss trace.
     Every iteration's forward pass writes into one ``_score_workspace``,
     allocated for the first batch's row count, which every trainer keeps
-    fixed, and the backward pass consumes that cache, so no later iteration
-    allocates an activation-sized array.  The workspace, the optimizer and
-    its gradient views are freed before the output is adapted: adapting
-    while the optimizer was held raised paper-width peak RSS from 259 to
-    322 MB.
+    fixed, and the backward pass consumes that cache and hands W2's gradient
+    to the optimizer chunk by chunk, so no later iteration allocates an
+    activation-sized array or a whole W2 gradient.  The workspace, the
+    optimizer and its gradient views are freed before the output is adapted:
+    adapting while the optimizer was held raised paper-width peak RSS from
+    259 to 322 MB.
     """
     if config.seed is None:  # the [train] section itself; train_config() resolves it
         raise ValidationError("seed", "must be set for reproducible training")
@@ -323,7 +324,9 @@ def _descend(
         if work is None:
             work = model._score_workspace(len(inputs))
         try:
-            loss, grads = model.loss_and_grads(inputs, loss_fn, out=opt.grads, work=work)
+            loss, grads = model.loss_and_grads(
+                inputs, loss_fn, out=opt.chunked_grads, work=work, w2_sink=opt.take_w2
+            )
         except FloatingPointError as exc:
             raise TrainingDiverged(it, f"{exc} at iteration {it}") from exc
         if grads is None:

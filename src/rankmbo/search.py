@@ -66,19 +66,26 @@ class SearchResult:
 
 
 class SurrogateObjective:
-    """Differentiable search objective: the surrogate's z-score adapted output."""
+    """Differentiable search objective: the surrogate's z-score adapted output.
+
+    ``gradient_batch`` writes each forward pass into one ``_score_workspace``
+    of the objective's, allocated again only for another row count, so the
+    steps of an ``ascend`` share one."""
 
     def __init__(self, model: MlpSurrogate):
         if not model.is_adapted:
             raise RuntimeError("model has no adaptation constants; adapt it first")
         self.model = model
         self.x_std = model.x_std
+        self._work = None
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         return self.model.predict_adapted_batch(X)
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.model.input_gradient_batch(X) / self.model.adapt_std
+        if self._work is None or len(self._work[0]) != len(X):
+            self._work = self.model._score_workspace(len(X))
+        return self.model.input_gradient_batch(X, self._work) / self.model.adapt_std
 
 
 def project_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

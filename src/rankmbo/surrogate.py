@@ -14,20 +14,24 @@ column.  Each layer's matmul output gets its bias added and, after a check
 that it is finite, its ReLU applied in place, so the cache is
 ``(Z, H1, H2)``.  The backward passes take each ReLU mask from ``H > 0``,
 which equals ``A > 0`` for the pre-activation ``A``.  ``forward_batch``
-runs it over fixed blocks of ``_SCORE_ROWS`` (4096) rows with one workspace
-of at most one block, allocated once per call, writing each block's scores
-into one output vector; so scoring n rows peaks at two block x hidden
-float64 arrays plus the n scores, and a large call does not map and fault
-in fresh pages per block.  A caller that scores once, such as
-``input_gradient_batch``, allocates a workspace for its rows.  In a call of
-more than one block a score's last bit can depend on its block, which the
-row's position fixes: OpenBLAS rounds the output product, and for blocks of
-16 rows or fewer the hidden products, differently at different row counts.
+runs it over fixed blocks with one workspace of at most one block, allocated
+once per call, writing each block's scores into one output vector.  A block
+is ``_SCORE_ROWS`` (4096) rows, or fewer where a block's widest hidden array
+would pass ``_SCORE_BYTES`` (8 MiB): 512 rows at hidden 2048.  So scoring n
+rows peaks at two block x hidden float64 arrays plus the n scores, and a
+large call does not map and fault in fresh pages per block.
+``input_gradient_batch`` writes into a workspace it is given, as design
+search gives one for all its steps, or else allocates one for its rows.  In
+a call of more than one block a score's last bit can depend on its block,
+which the row's position fixes: OpenBLAS rounds the output product, and for
+blocks of 16 rows or fewer the hidden products, differently at different
+row counts.  At hidden 2048, blocks of 16, 32, 100, 512 and 1024 rows gave
+the scores of 4096-row blocks bit for bit, with 1 and 2 BLAS threads.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
 its upstream gradients through the cached activations, writing them straight
-into views of the optimizer's flat gradient buffer.  The trainer passes one
+into views of the optimizer's gradient buffer.  The trainer passes one
 workspace, sized for its batch, to every step, and the backward pass consumes
 the cache: each hidden layer's deltas overwrite its activations once its ReLU
 mask is taken.  So a step after the first allocates no activation-sized
@@ -42,10 +46,14 @@ and no weight decay.  It keeps its moments as flat buffers too and runs its
 update over fixed cache-sized blocks of them: each block's update goes into
 a block-sized scratch and is subtracted in place from the same slice of the
 model's flat buffer, and the finite check of the second moment reads each
-block's maximum.  At paper width (4.2M parameters) a step therefore
-allocates nothing and holds no parameter-sized update buffer or mask, and the
-arithmetic, operation for operation, is that of the plain whole-buffer
-expression, so results are bit-identical to it.
+block's maximum.  No step holds a whole W2 gradient: the backward pass
+computes it in chunks of ``_W2_ROWS`` (256) rows, and Adam's first pass,
+the moment update and the check, takes each chunk before the next is
+written; W2 is one chunk at hidden 256 or less.  At paper width (4.2M
+parameters, nearly all in W2) a step therefore allocates nothing and
+holds a 4 MiB gradient chunk and no parameter-sized gradient, update buffer
+or mask, and the arithmetic, operation for operation, is that of the plain
+whole-buffer expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -58,12 +66,15 @@ from ``layer_sizes``.  Everything else (``layer_sizes``, the input
 standardization, the adaptation constants, ``objective``, ``train_config``,
 ``seed``) is plain JSON.  The arrays round-trip bit for bit, and encoding skips
 the per-float text conversion that made a list-of-floats file of the 4.2M
-paper-width parameters take seconds to write and read.
+paper-width parameters take seconds to write and read.  ``save_model``
+streams each array's base64 into the file in pieces, so writing never holds
+a whole array's text.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -71,7 +82,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import _atomic_open
 from .tasks import ValidationError, _check_non_negative, _check_seed
 
 __all__ = [
@@ -84,9 +95,14 @@ __all__ = [
 ]
 
 ADAPT_STD_FLOOR = 1e-12
-# ``forward_batch`` scores at most this many rows per forward pass; at hidden
-# 64 a block's two cached arrays take 4 MiB
+# ``forward_batch`` scores at most this many rows per forward pass, and no
+# more than keep its widest hidden array within _SCORE_BYTES: 4096 rows (two
+# 2 MiB arrays) at hidden 64, 512 rows (two 8 MiB arrays) at hidden 2048
 _SCORE_ROWS = 4096
+_SCORE_BYTES = 2**23
+# ``_backward`` computes W2's gradient in chunks of this many rows; at hidden
+# 256 or less W2 is one chunk
+_W2_ROWS = 256
 
 
 @dataclass
@@ -161,11 +177,17 @@ class MlpSurrogate:
     def num_params(self) -> int:
         return self.params.size
 
-    def param_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def param_views(
+        self, flat: np.ndarray, w2_rows: int | None = None
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """``(weights, biases)``-shaped views of a flat buffer laid out as
-        ``params``."""
-        ends = np.cumsum([math.prod(shape) for shape in self._shapes])[:-1]
-        views = [v.reshape(shape) for v, shape in zip(np.split(flat, ends), self._shapes)]
+        ``params``, or, given ``w2_rows``, as ``params`` with W2 cut to that
+        many rows."""
+        shapes = list(self._shapes)
+        if w2_rows is not None:
+            shapes[1] = (w2_rows, shapes[1][1])
+        ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        views = [v.reshape(shape) for v, shape in zip(np.split(flat, ends), shapes)]
         return views[:3], views[3:]
 
     @property
@@ -219,15 +241,17 @@ class MlpSurrogate:
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         """Scores of the rows of ``X``, one forward pass per fixed block of
-        ``_SCORE_ROWS`` rows, so memory beyond the scores is bounded by the
-        block at any pool size.  The blocks share one workspace, allocated
-        once per call."""
+        ``_SCORE_ROWS`` rows, or fewer for a hidden layer so wide that a
+        block's array of it would pass ``_SCORE_BYTES``; so memory beyond
+        the scores is bounded by the block at any pool size.  The blocks
+        share one workspace, allocated once per call."""
         X = np.asarray(X, dtype=float)
-        work = self._score_workspace(min(len(X), _SCORE_ROWS))
+        rows = max(1, min(_SCORE_ROWS, _SCORE_BYTES // (8 * max(self.layer_sizes[1:3]))))
+        work = self._score_workspace(min(len(X), rows))
         out = np.empty(len(X))
         # an empty X still runs one pass, which checks its shape
-        for start in range(0, len(X) or 1, _SCORE_ROWS):
-            block = slice(start, start + _SCORE_ROWS)
+        for start in range(0, len(X) or 1, rows):
+            block = slice(start, start + rows)
             out[block] = self._forward_cache(X[block], work)[0]
         return out
 
@@ -237,7 +261,7 @@ class MlpSurrogate:
         """Gradients of sum_i upstream_i * h(x_i) w.r.t. every weight and bias."""
         return self.loss_and_grads(batch_inputs, lambda _: (0.0, upstream_grads))[1]
 
-    def loss_and_grads(self, X: np.ndarray, loss_fn, out=None, work=None):
+    def loss_and_grads(self, X: np.ndarray, loss_fn, out=None, work=None, w2_sink=None):
         """Loss and parameter gradients of one batch from a single forward pass.
 
         ``loss_fn(scores) -> (loss, upstream)`` receives the network outputs for
@@ -250,7 +274,9 @@ class MlpSurrogate:
         ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
         rows that the forward pass writes into and the backward pass consumes,
         so ``scores`` is a view of it that the next call overwrites.  Either
-        one is allocated for the call when not given.
+        one is allocated for the call when not given.  ``w2_sink``, when
+        given, takes W2's gradient chunk by chunk, and ``out``'s W2 entry is
+        then a buffer of ``min(h2, _W2_ROWS)`` rows; see ``_backward``.
         """
         if work is None:
             work = self._score_workspace(len(X))
@@ -263,9 +289,9 @@ class MlpSurrogate:
             raise ValueError("need one upstream gradient per batch input")
         if out is None:
             out = self.param_views(np.empty(self.params.size))
-        return loss, self._backward(cache, up, out)
+        return loss, self._backward(cache, up, out, w2_sink)
 
-    def _backward(self, cache, up: np.ndarray, out):
+    def _backward(self, cache, up: np.ndarray, out, w2_sink=None):
         """Parameter gradients of ``sum_i up_i * h(x_i)`` from a forward
         cache, which the pass consumes: each hidden layer's deltas are
         written over its activations once its ReLU mask and its last read
@@ -273,7 +299,15 @@ class MlpSurrogate:
         activations.  The operations are those of the allocating expressions
         ``d2 = up[:, None] * w3 * (H2 > 0)`` and ``d1 = (d2 @ W2) * (H1 > 0)``,
         in the same order, so the gradients are bit-identical to them.  The
-        gradients are written into ``out``, a ``(grads_w, grads_b)`` pair."""
+        gradients are written into ``out``, a ``(grads_w, grads_b)`` pair.
+
+        W2's gradient ``d2.T @ H1`` is one product per chunk of ``_W2_ROWS``
+        of its rows; each of its entries is the same sum over the batch as in
+        one whole product, and OpenBLAS rounds it the same.  A chunk is
+        written into its rows of ``out``'s W2 entry, or, when ``w2_sink`` is
+        given, into the last rows of that entry, a buffer of
+        ``min(h2, _W2_ROWS)`` rows, and handed to ``w2_sink(first_row,
+        chunk)`` before the next chunk overwrites it."""
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, H1, H2 = cache
         # a row with zero upstream gradient adds exactly zero to every sum
@@ -286,7 +320,14 @@ class MlpSurrogate:
         mask = H2 > 0.0
         d2 = np.multiply(up[:, None], self.weights[2][0], out=H2)
         d2 *= mask
-        np.matmul(d2.T, H1, out=gw2)
+        for start in range(0, d2.shape[1], _W2_ROWS):
+            cols = d2[:, start : start + _W2_ROWS]
+            if w2_sink is None:
+                np.matmul(cols.T, H1, out=gw2[start : start + cols.shape[1]])
+            else:
+                chunk = gw2[len(gw2) - cols.shape[1] :]
+                np.matmul(cols.T, H1, out=chunk)
+                w2_sink(start, chunk)
         np.sum(d2, axis=0, out=gb2)
         mask = H1 > 0.0
         d1 = np.matmul(d2, self.weights[1], out=H1)
@@ -295,11 +336,19 @@ class MlpSurrogate:
         np.sum(d1, axis=0, out=gb1)
         return out
 
-    def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        """Exact gradient of h at each row, w.r.t. the raw (unstandardized) input."""
-        _, (_, H1, H2) = self._forward_cache(X, self._score_workspace(len(X)))
-        v2 = self.weights[2][0][None, :] * (H2 > 0.0)
-        v1 = (v2 @ self.weights[1]) * (H1 > 0.0)
+    def input_gradient_batch(self, X: np.ndarray, work=None) -> np.ndarray:
+        """Exact gradient of h at each row, w.r.t. the raw (unstandardized)
+        input.  ``work`` is as in ``loss_and_grads``: the pass writes into it,
+        and each hidden layer's deltas overwrite its activations, as in
+        ``_backward``; it is allocated for the call when not given."""
+        if work is None:
+            work = self._score_workspace(len(X))
+        _, (_, H1, H2) = self._forward_cache(X, work)
+        mask = H2 > 0.0
+        v2 = np.multiply(self.weights[2][0], mask, out=H2)
+        mask = H1 > 0.0
+        v1 = np.matmul(v2, self.weights[1], out=H1)
+        v1 *= mask
         return (v1 @ self.weights[0]) / self.x_std
 
     # -- output adaptation ----------------------------------------------------
@@ -327,11 +376,14 @@ class MlpSurrogate:
 
     # -- persistence ----------------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode=None) -> dict:
+        """The JSON fields of ``model.json``; each weight and bias array is
+        given as ``encode(array)``, by default its base64 string."""
+        encode = encode or _encode_array
         return {
             "layer_sizes": self.layer_sizes,
-            "weights": [_encode_array(w) for w in self.weights],
-            "biases": [_encode_array(b) for b in self.biases],
+            "weights": [encode(w) for w in self.weights],
+            "biases": [encode(b) for b in self.biases],
             "x_mean": self.x_mean.tolist(),
             "x_std": self.x_std.tolist(),
             "adapt_mean": self.adapt_mean,
@@ -435,7 +487,37 @@ def zscore_adapt(model: MlpSurrogate, dataset) -> MlpSurrogate:
 
 
 def save_model(model: MlpSurrogate, path: str | Path) -> None:
-    write_json(path, model.to_dict())
+    """Write ``model.to_dict()`` atomically, byte for byte as
+    ``artifacts.write_json`` would, but with each array's base64 streamed
+    into the file piece by piece, so that no whole-array string is built (at
+    paper width W2's took three 45 MB strings).  The other values are
+    ``json.dumps`` at ``indent=2``, indented one more level."""
+    with _atomic_open(path) as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(model.to_dict(encode=lambda a: a).items()):
+            fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
+            if key in ("weights", "biases"):
+                for j, a in enumerate(value):
+                    fh.write(f"{',' if j else '['}\n    \"")
+                    _write_base64(fh, a)
+                    fh.write('"')
+                fh.write("\n  ]")
+            else:
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n")
+
+
+# ``save_model`` encodes an array's bytes this many at a time (1 MiB of
+# base64); a multiple of 3, so the pieces' base64 joins into the whole's
+_B64_PIECE = 3 * 2**18
+
+
+def _write_base64(fh, a: np.ndarray) -> None:
+    """Writes ``_encode_array(a)`` to the text file ``fh``, encoded
+    ``_B64_PIECE`` bytes at a time."""
+    raw = memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
+    for start in range(0, len(raw), _B64_PIECE):
+        fh.write(base64.b64encode(raw[start : start + _B64_PIECE]).decode("ascii"))
 
 
 def load_model(path: str | Path) -> MlpSurrogate:
@@ -453,18 +535,31 @@ _BLOCK = 32768
 class _Optimizer:
     """Adam over the surrogate parameters.
 
-    The optimizer owns one flat gradient buffer laid out as ``model.params``;
-    Adam's two moments are flat buffers in the same order.  ``grads`` is
-    ``model.param_views`` of the gradient buffer; the caller fills it, through
-    ``MlpSurrogate.loss_and_grads(..., out=opt.grads)``, before each
-    ``step``, which reads nothing else.  A step runs in two passes over fixed
-    ``_BLOCK`` slices of the buffers: the first updates the moments and
-    checks each block of ``v`` by its maximum, and only when every block is
-    finite does the second compute each block's update into a block-sized
-    scratch and subtract it in place from the same slice of
-    ``model.params``.  There is no parameter-sized update buffer or mask, so
-    a step at paper width allocates nothing and keeps only the gradient and
-    the two moments beside the model.
+    Adam's two moments are flat buffers laid out as ``model.params``.  A step
+    runs in two passes over fixed ``_BLOCK`` slices of them: the first
+    updates the moments from the gradient and checks each block of ``v`` by
+    its maximum, and only when every block is finite does the second compute
+    each block's update into a block-sized scratch and subtract it in place
+    from the same slice of ``model.params``.
+
+    The optimizer holds no whole W2 gradient, which is nearly all of the 4.2M
+    parameters at paper width.  A trainer passes ``chunked_grads`` as ``out``
+    and ``take_w2`` as ``w2_sink`` to ``MlpSurrogate.loss_and_grads``, then
+    calls ``step``.  ``chunked_grads`` views one flat buffer laid out as
+    ``model.params`` with W2 cut to ``min(h2, _W2_ROWS)`` rows, and
+    ``take_w2`` runs the first pass over each chunk of W2's gradient as the
+    backward pass writes it, except the last chunk.  That one fills the end
+    of W2's rows, where the W3 gradient begins, so ``step`` runs the first
+    pass over it and all later gradients as one stretch, and over W1's as
+    another.  At hidden 256 or less W2 is one chunk, the buffer is laid out
+    exactly as ``model.params``, and a step is one first pass over it, as
+    with a whole gradient.  So a step allocates no array, and at paper width
+    it keeps a 4 MiB chunk and the small gradients beside the model and the
+    two moments.
+
+    ``grads`` is ``model.param_views`` of a whole flat gradient, ``grad``,
+    for a caller that fills it itself before ``step``; where W2 is more than
+    one chunk, ``grad`` is allocated at first use.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
@@ -473,39 +568,91 @@ class _Optimizer:
         self.config = config
         self.t = 0
         n = model.params.size
-        self.grad, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
-        self.grads = model.param_views(self.grad)
-        update, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-        self._blocks = []
-        for start in range(0, n, _BLOCK):
-            sl, k = slice(start, start + _BLOCK), min(_BLOCK, n - start)
-            self._blocks.append(
-                (self.grad[sl], self.m[sl], self.v[sl], update[:k], scratch[:k], model.params[sl])
+        h2, h1 = model.weights[1].shape
+        self._chunked = np.empty(n - (h2 - min(h2, _W2_ROWS)) * h1)
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self._param_views = model.param_views
+        update, self._scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+        self._updates = [
+            (m, v, update[: len(m)], self._scratch[: len(m)], p)
+            for m, v, p in zip(
+                *(np.split(a, range(_BLOCK, n, _BLOCK)) for a in (self.m, self.v, model.params))
             )
+        ]
+        self._w2_start = model.weights[0].size
+        self._w2_last = (h2 - 1) // _W2_ROWS * _W2_ROWS  # first row of W2's last chunk
+        self.chunked_grads = model.param_views(self._chunked, w2_rows=min(h2, _W2_ROWS))
+        if self._w2_last == 0:
+            self._chunked_blocks = self._blocks(0, self._chunked)
+        else:
+            # W1's gradient, then W2's last chunk and all later gradients
+            tail = n - self._w2_start - self._w2_last * h1
+            self._chunked_blocks = self._blocks(0, self._chunked[: self._w2_start])
+            self._chunked_blocks += self._blocks(n - tail, self._chunked[-tail:])
+        self._w2_taken, self._w2_finite = False, True
 
-    def step(self) -> bool:
-        """Apply one update from the gradients in ``grads`` to the parameters
-        of the model the optimizer was built for; return False, leaving them
-        untouched, when the second moment has overflowed (an inf entry would
-        freeze its parameter silently).  ``v`` is a sum of squares, so a
-        block is finite exactly when its maximum, which propagates NaN, is
-        below inf."""
-        cfg = self.config
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        self.t += 1
-        corr1 = 1.0 - b1**self.t
-        corr2 = 1.0 - b2**self.t
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return self._chunked if self._w2_last == 0 else np.empty(self.m.size)
+
+    @functools.cached_property
+    def grads(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return self._param_views(self.grad)
+
+    @functools.cached_property
+    def _grad_blocks(self) -> list:
+        return self._blocks(0, self.grad)
+
+    def _blocks(self, start: int, g: np.ndarray) -> list:
+        """``(g, m, v, scratch)`` views of each ``_BLOCK`` slice of the flat
+        gradient ``g``, whose entries are those of the parameters from
+        ``start`` on."""
+        return [
+            (g[i : i + _BLOCK], self.m[sl], self.v[sl], self._scratch[: sl.stop - sl.start])
+            for i in range(0, g.size, _BLOCK)
+            for sl in [slice(start + i, start + min(i + _BLOCK, g.size))]
+        ]
+
+    def _moments(self, blocks: list) -> bool:
+        """Adam's first pass over ``_blocks``; True when ``v`` is finite in
+        every block.  ``v`` is a sum of squares, so a block is finite exactly
+        when its maximum, which propagates NaN, is below inf."""
+        b1, b2 = self.config.adam_beta1, self.config.adam_beta2
         finite = True
-        for g, m, v, _, s, _ in self._blocks:
+        for g, m, v, s in blocks:
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
             np.square(g, out=s)
             v += np.multiply(1 - b2, s, out=s)
             finite &= bool(v.max() < math.inf)
+        return finite
+
+    def take_w2(self, first_row: int, chunk: np.ndarray) -> None:
+        """``w2_sink`` of ``loss_and_grads``: the first pass over a chunk of
+        W2's gradient, except the last, which ``step`` takes."""
+        self._w2_taken = True
+        if first_row < self._w2_last:
+            start = self._w2_start + first_row * chunk.shape[1]
+            self._w2_finite &= self._moments(self._blocks(start, chunk.reshape(-1)))
+
+    def step(self) -> bool:
+        """Apply one update to the parameters of the model the optimizer was
+        built for, from ``chunked_grads`` and the chunks ``take_w2`` took
+        when the last backward pass streamed W2, from ``grads`` otherwise.
+        Return False, leaving the parameters untouched, when the second
+        moment has overflowed (an inf entry would freeze its parameter
+        silently)."""
+        cfg = self.config
+        self.t += 1
+        corr1 = 1.0 - cfg.adam_beta1**self.t
+        corr2 = 1.0 - cfg.adam_beta2**self.t
+        blocks = self._chunked_blocks if self._w2_taken else self._grad_blocks
+        finite = self._moments(blocks) & self._w2_finite
+        self._w2_taken, self._w2_finite = False, True
         if not finite:
             return False
-        for _, m, v, u, s, p in self._blocks:
+        for m, v, u, s, p in self._updates:
             np.divide(m, corr1, out=u)
             u *= cfg.learning_rate
             np.divide(v, corr2, out=s)

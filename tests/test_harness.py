@@ -363,6 +363,16 @@ class TestRun:
         assert manifest["peak_rss_mb"] > 0.0
         assert set(manifest["blas_thread_env"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
+    def test_manifest_records_the_peak_rss_each_stage_ended_at(self, run_dir):
+        out, manifest = run_dir
+        on_disk = json.loads((out / "manifest.json").read_text())
+        peaks = on_disk["stage_peak_rss_mb"]
+        assert list(peaks) == list(on_disk["stage_s"])
+        assert all(0.0 < mb <= on_disk["peak_rss_mb"] for mb in peaks.values())
+        # ru_maxrss never falls, and the last write ends after every stage
+        assert peaks["write"] == max(peaks.values())
+        assert peaks == manifest["stage_peak_rss_mb"]
+
     def test_manifest_counts_minor_page_faults(self, run_dir):
         out, manifest = run_dir
         on_disk = json.loads((out / "manifest.json").read_text())

@@ -175,6 +175,30 @@ class TestAscend:
         assert np.allclose(t_adapted, t_raw, atol=1e-9)
 
 
+class TestSearchWorkspace:
+    def test_one_workspace_per_ascend_and_the_same_steps(self, monkeypatch):
+        ds = make_dataset()
+        model, _ = train_dar(
+            init_surrogate(2, 16, seed=1),
+            ds,
+            DarConfig(iterations=50, batch_size=16, learning_rate=1e-3, seed=2),
+        )
+        X0, lo, hi = ds.designs[:5], ds.task.lower, ds.task.upper
+        cfg = SearchConfig(steps=12)
+        # a gradient that allocates its own workspace at every step
+        fresh = SimpleNamespace(
+            gradient_batch=lambda X: model.input_gradient_batch(X) / model.adapt_std,
+            x_std=model.x_std,
+        )
+        expected = ascend(fresh, X0, lo, hi, cfg)
+        sizes = []
+        allocate = model._score_workspace
+        monkeypatch.setattr(model, "_score_workspace", lambda rows: sizes.append(rows) or allocate(rows))
+        for _ in range(2):
+            assert np.array_equal(ascend(SurrogateObjective(model), X0, lo, hi, cfg), expected)
+        assert sizes == [5, 5]
+
+
 class TestProposeAndScore:
     def _trained(self, ds):
         model, _ = train_dar(

@@ -3,6 +3,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rankmbo import surrogate
+from rankmbo.artifacts import write_json
 from rankmbo.objectives import margin_rank_loss_grad
 from rankmbo.surrogate import (
     MlpSurrogate,
@@ -423,6 +425,53 @@ class TestScoreWorkspace:
         assert sizes == [self.BLOCK, self.BLOCK, 5]
 
 
+class TestByteCappedBlocks:
+    """``forward_batch`` caps its block at ``_SCORE_BYTES`` of the widest
+    hidden array as well as at ``_SCORE_ROWS`` rows."""
+
+    @staticmethod
+    def block_rows(m, X):
+        """Row counts of the workspaces ``forward_batch`` allocates, and its
+        scores."""
+        sizes = []
+        allocate = m._score_workspace
+        m._score_workspace = lambda rows: sizes.append(rows) or allocate(rows)
+        try:
+            return sizes, m.forward_batch(X)
+        finally:
+            del m._score_workspace
+
+    def test_narrow_layers_keep_the_row_cap(self):
+        m = init_surrogate(2, 64, seed=0)
+        X = np.random.default_rng(0).normal(size=(5000, 2))
+        assert self.block_rows(m, X)[0] == [surrogate._SCORE_ROWS]
+
+    def test_wide_layer_block_equals_row_cap_blocks_across_edges(self, monkeypatch):
+        # hidden 1024: 1024-row blocks, so 2600 rows take two full blocks and
+        # a partial one, where 4096-row blocks take one pass
+        m = random_model(2, 1024, 7)
+        X = np.random.default_rng(7).normal(scale=3.0, size=(2600, 2))
+        sizes, capped = self.block_rows(m, X)
+        assert sizes == [surrogate._SCORE_BYTES // (8 * 1024)] == [1024]
+        monkeypatch.setattr(surrogate, "_SCORE_BYTES", 2**40)
+        sizes, whole = self.block_rows(m, X)
+        assert sizes == [len(X)]
+        assert same_bits(capped, whole)
+
+    def test_the_widest_hidden_layer_sets_the_block(self, monkeypatch):
+        m = MlpSurrogate(
+            [np.ones((3, 1)), np.ones((5, 3)), np.ones((1, 5))],
+            [np.zeros(3), np.zeros(5), np.zeros(1)],
+        )
+        X = np.zeros((100, 1))
+        monkeypatch.setattr(surrogate, "_SCORE_BYTES", 8 * 5 * 7)
+        assert self.block_rows(m, X)[0] == [7]
+        # a layer wider than the budget is still scored, one row at a time
+        monkeypatch.setattr(surrogate, "_SCORE_BYTES", 8)
+        sizes, scores = self.block_rows(m, X)
+        assert sizes == [1] and np.array_equal(scores, np.zeros(100))
+
+
 class TestParameterLayout:
     def test_parameters_are_c_contiguous(self):
         w = [np.asfortranarray(a) for a in init_surrogate(3, 5, seed=0).weights]
@@ -831,6 +880,128 @@ class TestOptimizer:
         assert same_bits(model.params, before)
 
 
+def chunked_step(model, opt, X, up, sink=None):
+    """One training step as the trainer takes it: W2's gradient goes to the
+    optimizer chunk by chunk, through ``sink`` when given."""
+    model.loss_and_grads(
+        X, lambda s: (0.0, up), out=opt.chunked_grads, w2_sink=sink or opt.take_w2
+    )
+    return opt.step()
+
+
+class TestChunkedW2Moments:
+    """The trainer's step: ``_backward`` hands W2's gradient to Adam's first
+    pass in ``_W2_ROWS``-row chunks.  At hidden 600 W2 has two full chunks
+    and a partial one of 88 rows."""
+
+    HIDDEN = 600
+
+    def test_width_spans_three_chunks_with_a_partial_last(self):
+        assert self.HIDDEN // surrogate._W2_ROWS == 2 and self.HIDDEN % surrogate._W2_ROWS
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(5, 7),
+        pairs=st.integers(2, 12),
+        partly_active=st.booleans(),
+    )
+    def test_equals_per_layer_reference(self, seed, steps, pairs, partly_active):
+        cfg = TrainConfig(learning_rate=1e-2)
+        rng = np.random.default_rng(seed)
+        model = random_model(3, self.HIDDEN, seed % 1000)
+        ref = random_model(3, self.HIDDEN, seed % 1000)
+        opt, ref_opt = _Optimizer(model, cfg), _PerLayerOptimizer(ref, cfg)
+        for _ in range(steps):
+            X = rng.normal(scale=3.0, size=(2 * pairs, 3))
+            scores, cache = ref_forward_cache(ref, X)
+            if partly_active:
+                margin = float(np.quantile(scores[:pairs] - scores[pairs:], 0.5))
+                up = pair_upstream(scores, margin)
+            else:
+                up = rng.normal(size=2 * pairs)
+            active = up != 0.0
+            assert chunked_step(model, opt, X, up)
+            # one whole W2 product over the active rows, as the parent took it
+            ref_opt.step(ref, *ref_backward(ref, [a[active] for a in cache], up[active]))
+        assert same_bits(model.params, ref.params)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("poisoned_row", [3, 300, 590], ids=["first", "middle", "last"])
+    def test_overflow_in_any_w2_chunk_leaves_every_parameter_unchanged(self, poisoned_row):
+        model = random_model(3, self.HIDDEN, 1)
+        opt = _Optimizer(model, TrainConfig())
+        X = np.random.default_rng(1).normal(size=(8, 3))
+        up = np.random.default_rng(2).normal(size=8)
+        assert chunked_step(model, opt, X, up)
+        first = poisoned_row // surrogate._W2_ROWS * surrogate._W2_ROWS
+        taken = []
+
+        def poison(row, chunk):
+            taken.append(row)
+            if row == first:
+                chunk[poisoned_row - row, 5] = 1e200
+            opt.take_w2(row, chunk)
+
+        before = model.params.copy()
+        assert not chunked_step(model, opt, X, up, poison)
+        assert taken == [0, 256, 512]
+        assert same_bits(model.params, before)
+        w2_start = model.weights[0].size
+        assert not np.isfinite(opt.v[w2_start + poisoned_row * self.HIDDEN + 5])
+        # the next step starts clean: a finite gradient updates the model
+        opt.v[:] = 0.0
+        assert chunked_step(model, opt, X, up)
+        assert not same_bits(model.params, before)
+
+    def test_training_step_allocates_no_w2_sized_gradient(self):
+        model = random_model(3, self.HIDDEN, 2)
+        opt = _Optimizer(model, TrainConfig())
+        rng = np.random.default_rng(2)
+        X = rng.normal(scale=3.0, size=(16, 3))
+        work = model._score_workspace(len(X))
+        scores = ref_forward_cache(model, X)[0]
+        up = pair_upstream(scores, float(np.median(scores[:8] - scores[8:])))
+        assert 0 < np.count_nonzero(up) < len(up)
+
+        def step():
+            model.loss_and_grads(
+                X, lambda s: (0.0, up), out=opt.chunked_grads, work=work, w2_sink=opt.take_w2
+            )
+            return opt.step()
+
+        assert step()
+        tracemalloc.start()
+        try:
+            assert step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.weights[1].nbytes / 4
+        assert "grad" not in vars(opt)  # the whole gradient was never allocated
+
+    def test_whole_gradient_and_chunks_give_one_update(self):
+        # step() after filling grads, and step() after a streamed backward
+        # pass, update the parameters alike
+        a, b = random_model(3, self.HIDDEN, 4), random_model(3, self.HIDDEN, 4)
+        opt_a, opt_b = _Optimizer(a, TrainConfig()), _Optimizer(b, TrainConfig())
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            X, up = rng.normal(size=(6, 3)), rng.normal(size=6)
+            a.loss_and_grads(X, lambda s: (0.0, up), out=opt_a.grads)
+            assert opt_a.step()
+            assert chunked_step(b, opt_b, X, up)
+        assert same_bits(a.params, b.params)
+        assert same_bits(opt_a.v, opt_b.v)
+
+    def test_one_chunk_buffer_is_the_whole_gradient(self):
+        # at hidden 256 or less the chunked buffer is laid out as the params
+        model = init_surrogate(2, 64, seed=0)
+        opt = _Optimizer(model, TrainConfig())
+        assert opt.grad is opt.chunked_grads[0][1].base
+        assert opt.grad.size == model.num_params
+
+
 class TestInputGradient:
     def test_zero_model(self):
         m = init_surrogate(4, 4, seed=0)
@@ -993,6 +1164,57 @@ class TestPersistence:
         (tmp_path / "m.json").write_text(json.dumps(data))
         with pytest.raises(ValueError, match=match):
             load_model(tmp_path / "m.json")
+
+
+class TestStreamedModelJson:
+    """``save_model`` streams each array's base64 in ``_B64_PIECE``-byte
+    pieces and must write exactly what ``write_json(path, to_dict())``
+    writes."""
+
+    @staticmethod
+    def both_files(m, directory):
+        save_model(m, directory / "streamed.json")
+        write_json(directory / "whole.json", m.to_dict())
+        return (directory / "streamed.json").read_bytes(), (directory / "whole.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        # pieces shorter than, equal to and longer than an array's bytes
+        piece=st.sampled_from([3, 6, 24, 99, surrogate._B64_PIECE]),
+        adapted=st.booleans(),
+        tagged=st.booleans(),
+    )
+    def test_bytes_equal_the_whole_document(self, dim, hidden, seed, piece, adapted, tagged):
+        m = random_model(dim, hidden, seed)
+        if adapted:
+            m.adapt_output(np.random.default_rng(seed).normal(size=(5, dim)))
+        if tagged:
+            m.objective = "dar"
+            m.train_config = {**TrainConfig(seed=3).to_dict(), "nested": {"a": [1, 2.5]}, "empty": {}}
+            m.task = {"name": "branin", "pool_size": 5000}
+        with mock.patch.object(surrogate, "_B64_PIECE", piece), tempfile.TemporaryDirectory() as d:
+            streamed, whole = self.both_files(m, Path(d))
+        assert streamed == whole
+
+    def test_hidden_512_spans_several_pieces(self, tmp_path):
+        m = random_model(2, 512, 5)
+        assert m.weights[1].nbytes > 2 * surrogate._B64_PIECE
+        streamed, whole = self.both_files(m, tmp_path)
+        assert streamed == whole
+
+    def test_peak_memory_stays_below_w2(self, tmp_path):
+        m = random_model(2, 1024, 6)
+        tracemalloc.start()
+        try:
+            save_model(m, tmp_path / "model.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.weights[1].nbytes
+        assert np.array_equal(load_model(tmp_path / "model.json").params, m.params)
 
 
 class TestTrainConfig:

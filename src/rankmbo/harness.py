@@ -351,14 +351,18 @@ def sweep(
     Each job reseeds the config from its seed, then sets its cell's grid
     values, so a grid axis over a seed key (``task.seed``) wins over the
     base seed for that key.  Every job config is built before the sweep
-    directory is made: an empty, negative or repeated ``seeds`` and a grid
-    value that cannot be set raise ValidationError and leave nothing behind.
+    directory is made: an empty, negative or repeated ``seeds``, a grid axis
+    with no values and a grid value that cannot be set raise ValidationError
+    and leave nothing behind.
     """
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValidationError("seeds", f"must be one or more distinct seeds >= 0, got {seeds}")
+    for path, values in grid.items():
+        if not values:
+            raise ValidationError(path, "a grid axis needs one or more values")
     out = Path(out_dir)
     axes = list(grid.items())
-    cells = list(itertools.product(*(values for _, values in axes))) or [()]
+    cells = list(itertools.product(*(values for _, values in axes)))
 
     jobs = []
     for ci, cell in enumerate(cells):

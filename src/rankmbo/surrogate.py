@@ -31,7 +31,7 @@ the scores of 4096-row blocks bit for bit, with 1 and 2 BLAS threads.
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
 its upstream gradients through the cached activations, writing them straight
-into views of the optimizer's gradient buffer.  The trainer passes one
+into the optimizer's gradient buffer.  The trainer passes one
 workspace, sized for its batch, to every step, and the backward pass consumes
 the cache: each hidden layer's deltas overwrite its activations once its ReLU
 mask is taken.  So a step after the first allocates no activation-sized
@@ -46,14 +46,16 @@ and no weight decay.  It keeps its moments as flat buffers too and runs its
 update over fixed cache-sized blocks of them: each block's update goes into
 a block-sized scratch and is subtracted in place from the same slice of the
 model's flat buffer, and the finite check of the second moment reads each
-block's maximum.  No step holds a whole W2 gradient: the backward pass
-computes it in chunks of ``_W2_ROWS`` (256) rows, and Adam's first pass,
-the moment update and the check, takes each chunk before the next is
-written; W2 is one chunk at hidden 256 or less.  At paper width (4.2M
-parameters, nearly all in W2) a step therefore allocates nothing and
-holds a 4 MiB gradient chunk and no parameter-sized gradient, update buffer
-or mask, and the arithmetic, operation for operation, is that of the plain
-whole-buffer expression, so results are bit-identical to it.
+block's maximum.  Every backward pass computes W2's gradient in chunks of
+``_W2_ROWS`` (256) rows, each written into one chunk-sized buffer and handed
+to a sink before the next; W2 is one chunk at hidden 256 or less.  In
+training the sink is Adam's first pass, the moment update and the check, so
+no step holds a whole W2 gradient; ``param_gradients`` and ``loss_and_grads``
+without ``out`` use a sink that copies each chunk into a whole W2.  At paper
+width (4.2M parameters, nearly all in W2) a step therefore allocates nothing
+and holds a 4 MiB gradient chunk and no parameter-sized gradient, update
+buffer or mask, and the arithmetic, operation for operation, is that of the
+plain whole-buffer expression, so results are bit-identical to it.
 
 After training, a z-score output adaptation can be attached: predictions are
 shifted and scaled by their mean and standard deviation over the training
@@ -74,7 +76,6 @@ a whole array's text.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -268,16 +269,20 @@ class MlpSurrogate:
         the rows of ``X`` and returns the scalar loss and its derivative with
         respect to each score.  Returns ``(loss, (grads_w, grads_b))``; when the
         loss is not finite the backward pass is skipped and the gradients are
-        ``None``.  ``out``, when given, is a ``(grads_w, grads_b)`` pair shaped
-        like the parameters, such as ``param_views`` of a flat buffer; the
-        gradients are written into it and ``out`` itself is returned.
-        ``work``, when given, is a ``_score_workspace`` of at least ``len(X)``
-        rows that the forward pass writes into and the backward pass consumes,
-        so ``scores`` is a view of it that the next call overwrites.  Either
-        one is allocated for the call when not given.  ``w2_sink``, when
-        given, takes W2's gradient chunk by chunk, and ``out``'s W2 entry is
-        then a buffer of ``min(h2, _W2_ROWS)`` rows; see ``_backward``.
+        ``None``.  ``work``, when given, is a ``_score_workspace`` of at least
+        ``len(X)`` rows that the forward pass writes into and the backward
+        pass consumes, so ``scores`` is a view of it that the next call
+        overwrites; it is allocated for the call when not given.
+
+        ``out`` and ``w2_sink`` are given together or not at all.  Given,
+        they are as in ``_backward``: ``out`` is shaped like the parameters
+        but for W2's entry, a buffer of ``min(h2, _W2_ROWS)`` rows, and
+        ``w2_sink`` takes W2's gradient chunk by chunk; ``out`` itself is
+        returned.  Otherwise whole gradient arrays are allocated, and a sink
+        copies each chunk into its rows of W2's.
         """
+        if (out is None) != (w2_sink is None):
+            raise ValueError("out and w2_sink are given together")
         if work is None:
             work = self._score_workspace(len(X))
         scores, cache = self._forward_cache(X, work)
@@ -287,11 +292,19 @@ class MlpSurrogate:
         up = np.asarray(upstream, dtype=float).reshape(-1)
         if len(up) != len(scores):
             raise ValueError("need one upstream gradient per batch input")
-        if out is None:
-            out = self.param_views(np.empty(self.params.size))
-        return loss, self._backward(cache, up, out, w2_sink)
+        if out is not None:
+            return loss, self._backward(cache, up, out, w2_sink)
+        grads = self.param_views(np.empty(self.params.size))
+        (gw1, gw2, gw3), gb = grads
 
-    def _backward(self, cache, up: np.ndarray, out, w2_sink=None):
+        def copy_chunk(row, chunk):
+            gw2[row : row + len(chunk)] = chunk
+
+        out = [gw1, np.empty((min(len(gw2), _W2_ROWS), gw2.shape[1])), gw3], gb
+        self._backward(cache, up, out, copy_chunk)
+        return loss, grads
+
+    def _backward(self, cache, up: np.ndarray, out, w2_sink):
         """Parameter gradients of ``sum_i up_i * h(x_i)`` from a forward
         cache, which the pass consumes: each hidden layer's deltas are
         written over its activations once its ReLU mask and its last read
@@ -299,15 +312,15 @@ class MlpSurrogate:
         activations.  The operations are those of the allocating expressions
         ``d2 = up[:, None] * w3 * (H2 > 0)`` and ``d1 = (d2 @ W2) * (H1 > 0)``,
         in the same order, so the gradients are bit-identical to them.  The
-        gradients are written into ``out``, a ``(grads_w, grads_b)`` pair.
+        gradients are written into ``out``, a ``(grads_w, grads_b)`` pair
+        shaped like the parameters, except that its W2 entry is a buffer of
+        ``min(h2, _W2_ROWS)`` rows.
 
         W2's gradient ``d2.T @ H1`` is one product per chunk of ``_W2_ROWS``
         of its rows; each of its entries is the same sum over the batch as in
-        one whole product, and OpenBLAS rounds it the same.  A chunk is
-        written into its rows of ``out``'s W2 entry, or, when ``w2_sink`` is
-        given, into the last rows of that entry, a buffer of
-        ``min(h2, _W2_ROWS)`` rows, and handed to ``w2_sink(first_row,
-        chunk)`` before the next chunk overwrites it."""
+        one whole product, and OpenBLAS rounds it the same.  Each chunk is
+        written into the last rows of ``out``'s W2 buffer and handed to
+        ``w2_sink(first_row, chunk)`` before the next chunk overwrites it."""
         (gw1, gw2, gw3), (gb1, gb2, gb3) = out
         Z, H1, H2 = cache
         # a row with zero upstream gradient adds exactly zero to every sum
@@ -322,12 +335,9 @@ class MlpSurrogate:
         d2 *= mask
         for start in range(0, d2.shape[1], _W2_ROWS):
             cols = d2[:, start : start + _W2_ROWS]
-            if w2_sink is None:
-                np.matmul(cols.T, H1, out=gw2[start : start + cols.shape[1]])
-            else:
-                chunk = gw2[len(gw2) - cols.shape[1] :]
-                np.matmul(cols.T, H1, out=chunk)
-                w2_sink(start, chunk)
+            chunk = gw2[len(gw2) - cols.shape[1] :]
+            np.matmul(cols.T, H1, out=chunk)
+            w2_sink(start, chunk)
         np.sum(d2, axis=0, out=gb2)
         mask = H1 > 0.0
         d1 = np.matmul(d2, self.weights[1], out=H1)
@@ -552,14 +562,9 @@ class _Optimizer:
     of W2's rows, where the W3 gradient begins, so ``step`` runs the first
     pass over it and all later gradients as one stretch, and over W1's as
     another.  At hidden 256 or less W2 is one chunk, the buffer is laid out
-    exactly as ``model.params``, and a step is one first pass over it, as
-    with a whole gradient.  So a step allocates no array, and at paper width
-    it keeps a 4 MiB chunk and the small gradients beside the model and the
-    two moments.
-
-    ``grads`` is ``model.param_views`` of a whole flat gradient, ``grad``,
-    for a caller that fills it itself before ``step``; where W2 is more than
-    one chunk, ``grad`` is allocated at first use.
+    exactly as ``model.params``, and a step is one first pass over it.  So a
+    step allocates no array, and at paper width it keeps a 4 MiB chunk and
+    the small gradients beside the model and the two moments.
     """
 
     def __init__(self, model: MlpSurrogate, config: TrainConfig):
@@ -571,7 +576,6 @@ class _Optimizer:
         h2, h1 = model.weights[1].shape
         self._chunked = np.empty(n - (h2 - min(h2, _W2_ROWS)) * h1)
         self.m, self.v = np.zeros(n), np.zeros(n)
-        self._param_views = model.param_views
         update, self._scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
         self._updates = [
             (m, v, update[: len(m)], self._scratch[: len(m)], p)
@@ -589,19 +593,7 @@ class _Optimizer:
             tail = n - self._w2_start - self._w2_last * h1
             self._chunked_blocks = self._blocks(0, self._chunked[: self._w2_start])
             self._chunked_blocks += self._blocks(n - tail, self._chunked[-tail:])
-        self._w2_taken, self._w2_finite = False, True
-
-    @functools.cached_property
-    def grad(self) -> np.ndarray:
-        return self._chunked if self._w2_last == 0 else np.empty(self.m.size)
-
-    @functools.cached_property
-    def grads(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return self._param_views(self.grad)
-
-    @functools.cached_property
-    def _grad_blocks(self) -> list:
-        return self._blocks(0, self.grad)
+        self._w2_finite = True
 
     def _blocks(self, start: int, g: np.ndarray) -> list:
         """``(g, m, v, scratch)`` views of each ``_BLOCK`` slice of the flat
@@ -631,7 +623,6 @@ class _Optimizer:
     def take_w2(self, first_row: int, chunk: np.ndarray) -> None:
         """``w2_sink`` of ``loss_and_grads``: the first pass over a chunk of
         W2's gradient, except the last, which ``step`` takes."""
-        self._w2_taken = True
         if first_row < self._w2_last:
             start = self._w2_start + first_row * chunk.shape[1]
             self._w2_finite &= self._moments(self._blocks(start, chunk.reshape(-1)))
@@ -639,17 +630,15 @@ class _Optimizer:
     def step(self) -> bool:
         """Apply one update to the parameters of the model the optimizer was
         built for, from ``chunked_grads`` and the chunks ``take_w2`` took
-        when the last backward pass streamed W2, from ``grads`` otherwise.
-        Return False, leaving the parameters untouched, when the second
-        moment has overflowed (an inf entry would freeze its parameter
-        silently)."""
+        during the last backward pass.  Return False, leaving the parameters
+        untouched, when the second moment has overflowed (an inf entry would
+        freeze its parameter silently)."""
         cfg = self.config
         self.t += 1
         corr1 = 1.0 - cfg.adam_beta1**self.t
         corr2 = 1.0 - cfg.adam_beta2**self.t
-        blocks = self._chunked_blocks if self._w2_taken else self._grad_blocks
-        finite = self._moments(blocks) & self._w2_finite
-        self._w2_taken, self._w2_finite = False, True
+        finite = self._moments(self._chunked_blocks) & self._w2_finite
+        self._w2_finite = True
         if not finite:
             return False
         for m, v, u, s, p in self._updates:

@@ -552,6 +552,16 @@ class TestSweep:
         assert excinfo.value.field == "train.hidden"
         assert not out.exists()
 
+    def test_empty_grid_axis_rejected_before_writing(self, tmp_path):
+        # an empty axis made the grid one cell of the base config, so no
+        # other axis was set or validated
+        out = tmp_path / "sw"
+        grid = {"train.hidden": [], "train.iterations": ["abc"]}
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(parse_config(FAST_CFG), grid, [0], out)
+        assert excinfo.value.field == "train.hidden"
+        assert not out.exists()
+
     def test_seed_axis_wins_over_base_seed(self, tmp_path):
         cfg = parse_config(FAST_CFG)
         rows = sweep(cfg, {"task.seed": ["1", "2"]}, seeds=[0], out_dir=tmp_path / "sw")
@@ -843,6 +853,20 @@ class TestCli:
         out = tmp_path / "sw"
         proc = self._cli(
             "sweep", "--config", str(cfg_file), "--out", str(out), "--set", "train.hidden=abc"
+        )
+        assert proc.returncode == 1
+        assert not out.exists()
+        err = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert (err["field"], err["stage"]) == ("train.hidden", "sweep")
+
+    @pytest.mark.parametrize("axis", ["train.hidden=", "train.hidden=,"])
+    def test_empty_sweep_axis_exit_one_before_writing(self, tmp_path, axis):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "sw"
+        proc = self._cli(
+            "sweep", "--config", str(cfg_file), "--out", str(out),
+            "--set", axis, "--set", "train.iterations=abc",
         )
         assert proc.returncode == 1
         assert not out.exists()

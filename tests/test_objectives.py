@@ -363,7 +363,7 @@ class TestDescend:
         class Recording(objectives._Optimizer):
             def __init__(self, model, config):
                 super().__init__(model, config)
-                refs.extend([weakref.ref(self), weakref.ref(self.grad)])
+                refs.extend([weakref.ref(self), weakref.ref(self._chunked)])
 
         def adapt(model, dataset):
             assert len(refs) == 2 and all(ref() is None for ref in refs)

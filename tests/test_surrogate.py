@@ -133,6 +133,22 @@ def min_preactivation_magnitude(model, x):
     return float(min(np.abs(A1).min(), np.abs(A2).min()))
 
 
+def chunked_backward(model, opt, X, up, sink=None):
+    """The trainer's backward pass: the gradients go into
+    ``opt.chunked_grads``, and W2's goes to the optimizer chunk by chunk,
+    through ``sink`` when given.  Returns ``opt.chunked_grads``."""
+    return model.loss_and_grads(
+        X, lambda s: (0.0, up), out=opt.chunked_grads, w2_sink=sink or opt.take_w2
+    )[1]
+
+
+def chunked_step(model, opt, X, up, sink=None):
+    """One training step as the trainer takes it: ``chunked_backward``, then
+    ``opt.step()``."""
+    chunked_backward(model, opt, X, up, sink)
+    return opt.step()
+
+
 def make_linear_chain(weight=1.0):
     """1-1-1-1 net computing weight * x for positive activations."""
     return MlpSurrogate(
@@ -177,8 +193,7 @@ class TestInit:
         for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
             assert not np.shares_memory(pa, pb)
         opt = _Optimizer(b, TrainConfig(learning_rate=0.1))
-        b.loss_and_grads(np.ones((4, 3)), lambda s: (0.0, np.ones(4)), out=opt.grads)
-        assert opt.step()
+        assert chunked_step(b, opt, np.ones((4, 3)), np.ones(4))
         assert not all(np.array_equal(p, q) for p, q in zip(b.weights + b.biases, before))
         for p, q in zip(a.weights + a.biases, before):
             assert np.array_equal(p, q)
@@ -236,8 +251,7 @@ class TestForwardCache:
         ref_scores, cache = ref_forward_cache(m, X)
         ref_grads = ref_backward(m, cache, up)
         assert np.array_equal(m.forward_batch(X), ref_scores)
-        opt = _Optimizer(m, TrainConfig())
-        _, fused = m.loss_and_grads(X, lambda s: (float(np.dot(up, s)), up), out=opt.grads)
+        fused = chunked_backward(m, _Optimizer(m, TrainConfig()), X, up)
         for grads in (m.param_gradients(X, up), fused):
             for a, b in zip(grads[0] + grads[1], ref_grads[0] + ref_grads[1]):
                 assert np.array_equal(a, b)
@@ -494,8 +508,7 @@ class TestParameterLayout:
             X = rng.normal(size=(16, 3))
             up = rng.normal(size=16)
             for model, opt in zip((ref, fortran), opts):
-                model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
-                assert opt.step()
+                assert chunked_step(model, opt, X, up)
         assert not np.array_equal(ref.weights[1], init_surrogate(3, 200, seed=1).weights[1])
         for a, b in zip(fortran.weights + fortran.biases, ref.weights + ref.biases):
             assert same_bits(a, b)
@@ -535,9 +548,9 @@ class TestParameterLayout:
         opt = _Optimizer(m, TrainConfig())
         X = rng.normal(size=(n, dim))
         up = rng.normal(size=n)
-        m.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
+        chunked_backward(m, opt, X, up)
         gw, gb = m.param_gradients(X, up)
-        assert same_bits(opt.grad, np.concatenate([g.flatten() for g in gw + gb]))
+        assert same_bits(opt._chunked, np.concatenate([g.flatten() for g in gw + gb]))
 
 
 class TestParamGradients:
@@ -622,9 +635,10 @@ class TestLossAndGrads:
         def loss_fn(scores):
             return float(np.dot(up, scores)), up
 
-        views = _Optimizer(m, TrainConfig()).grads
+        opt = _Optimizer(m, TrainConfig())
+        views = opt.chunked_grads
         _, ref = m.loss_and_grads(X, loss_fn)
-        _, got = m.loss_and_grads(X, loss_fn, out=views)
+        _, got = m.loss_and_grads(X, loss_fn, out=views, w2_sink=opt.take_w2)
         assert got is views
         assert all(a is b for a, b in zip(got[0] + got[1], views[0] + views[1]))
         for a, b in zip(got[0] + got[1], ref[0] + ref[1]):
@@ -642,6 +656,15 @@ class TestLossAndGrads:
         m = init_surrogate(2, 4, seed=0)
         with pytest.raises(ValueError):
             m.loss_and_grads(np.zeros((3, 2)), lambda s: (0.0, np.zeros(2)))
+
+    def test_out_and_sink_are_given_together(self):
+        # an out without a sink has nowhere to send W2's chunks, and a sink
+        # without an out would be ignored by the allocating pass
+        m = init_surrogate(2, 4, seed=0)
+        opt = _Optimizer(m, TrainConfig())
+        for kwargs in ({"out": opt.chunked_grads}, {"w2_sink": opt.take_w2}):
+            with pytest.raises(ValueError, match="given together"):
+                m.loss_and_grads(np.zeros((3, 2)), lambda s: (0.0, np.ones(3)), **kwargs)
 
 
 class TestTrainingWorkspace:
@@ -695,7 +718,7 @@ class TestActiveRowBackward:
             return float(np.dot(up, scores)), up
 
         _, fused = m.loss_and_grads(X, loss_fn)
-        _, views = m.loss_and_grads(X, loss_fn, out=_Optimizer(m, TrainConfig()).grads)
+        views = chunked_backward(m, _Optimizer(m, TrainConfig()), X, up)
         return [g[0] + g[1] for g in (m.param_gradients(X, up), fused, views)]
 
     @settings(max_examples=60, deadline=None)
@@ -800,8 +823,7 @@ def assert_matches_per_layer_reference(hidden, steps=40):
     for _ in range(steps):
         X = rng.normal(size=(8, 3))
         up = rng.normal(size=8)
-        model.loss_and_grads(X, lambda s: (0.0, up), out=opt.grads)
-        assert opt.step()
+        assert chunked_step(model, opt, X, up)
         ref_opt.step(ref, *ref.param_gradients(X, up))
     trained = ref.weights + ref.biases
     assert not np.array_equal(trained[0], init_surrogate(3, hidden, seed=1).weights[0])
@@ -824,8 +846,7 @@ class TestOptimizer:
         # 41201 parameters; a whole-buffer finite check of v takes 41 kB
         model = init_surrogate(3, 200, seed=1)
         opt = _Optimizer(model, TrainConfig())
-        model.loss_and_grads(np.ones((2, 3)), lambda s: (0.0, np.ones(2)), out=opt.grads)
-        opt.step()
+        assert chunked_step(model, opt, np.ones((2, 3)), np.ones(2))
         tracemalloc.start()
         try:
             assert opt.step()
@@ -838,11 +859,9 @@ class TestOptimizer:
     def test_moment_overflow_in_last_block_leaves_model_untouched(self):
         model = init_surrogate(3, 200, seed=1)
         opt = _Optimizer(model, TrainConfig())
-        gw, gb = model.param_gradients(np.ones((2, 3)), np.ones(2))
+        _, gb = chunked_backward(model, opt, np.ones((2, 3)), np.ones(2))
         # b3 is the last flat entry, so its moment sits in the partial last block
         gb[2][0] = 1e200
-        for g, dst in zip(gw + gb, opt.grads[0] + opt.grads[1]):
-            np.copyto(dst, g)
         before = [p.copy() for p in model.weights + model.biases]
         assert not opt.step()
         assert not np.isfinite(opt.v[-1]) and np.isfinite(opt.v[:-1]).all()
@@ -870,23 +889,16 @@ class TestOptimizer:
     def test_nonfinite_second_moment_in_any_block_leaves_model_untouched(self, i, poison):
         model = init_surrogate(3, 200, seed=1)
         opt = _Optimizer(model, TrainConfig())
-        model.loss_and_grads(np.ones((2, 3)), lambda s: (0.0, np.ones(2)), out=opt.grads)
-        assert opt.step()
+        assert chunked_step(model, opt, np.ones((2, 3)), np.ones(2))
+        chunked_backward(model, opt, np.ones((2, 3)), np.ones(2))
+        # at hidden 200 W2 is one chunk, so the chunked buffer is laid out as
+        # the parameters and step() reads all of it
         target, value = poison
-        getattr(opt, target)[i] = value
+        {"grad": opt._chunked, "v": opt.v}[target][i] = value
         before = model.params.copy()
         assert not opt.step()
         assert not np.isfinite(opt.v[i])
         assert same_bits(model.params, before)
-
-
-def chunked_step(model, opt, X, up, sink=None):
-    """One training step as the trainer takes it: W2's gradient goes to the
-    optimizer chunk by chunk, through ``sink`` when given."""
-    model.loss_and_grads(
-        X, lambda s: (0.0, up), out=opt.chunked_grads, w2_sink=sink or opt.take_w2
-    )
-    return opt.step()
 
 
 class TestChunkedW2Moments:
@@ -978,28 +990,45 @@ class TestChunkedW2Moments:
         finally:
             tracemalloc.stop()
         assert peak < model.weights[1].nbytes / 4
-        assert "grad" not in vars(opt)  # the whole gradient was never allocated
+        # the one gradient buffer holds a single chunk of W2
+        assert opt.chunked_grads[0][1].shape == (surrogate._W2_ROWS, self.HIDDEN)
 
-    def test_whole_gradient_and_chunks_give_one_update(self):
-        # step() after filling grads, and step() after a streamed backward
-        # pass, update the parameters alike
-        a, b = random_model(3, self.HIDDEN, 4), random_model(3, self.HIDDEN, 4)
-        opt_a, opt_b = _Optimizer(a, TrainConfig()), _Optimizer(b, TrainConfig())
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            X, up = rng.normal(size=(6, 3)), rng.normal(size=6)
-            a.loss_and_grads(X, lambda s: (0.0, up), out=opt_a.grads)
-            assert opt_a.step()
-            assert chunked_step(b, opt_b, X, up)
-        assert same_bits(a.params, b.params)
-        assert same_bits(opt_a.v, opt_b.v)
-
-    def test_one_chunk_buffer_is_the_whole_gradient(self):
+    def test_one_chunk_buffer_has_the_parameter_shapes(self):
         # at hidden 256 or less the chunked buffer is laid out as the params
-        model = init_surrogate(2, 64, seed=0)
-        opt = _Optimizer(model, TrainConfig())
-        assert opt.grad is opt.chunked_grads[0][1].base
-        assert opt.grad.size == model.num_params
+        for hidden in (1, 64, 256):
+            model = init_surrogate(2, hidden, seed=0)
+            opt = _Optimizer(model, TrainConfig())
+            views = opt.chunked_grads[0] + opt.chunked_grads[1]
+            assert [g.shape for g in views] == [p.shape for p in model.weights + model.biases]
+            assert all(g.base is opt._chunked for g in views)
+            assert opt._chunked.size == model.num_params
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pairs=st.integers(1, 12),
+        active=st.sampled_from(["all", "some", "none"]),
+    )
+    def test_whole_gradients_equal_the_reference(self, seed, pairs, active):
+        # param_gradients and loss_and_grads without out build a whole W2
+        # from its chunks: two full ones and one of 88 rows
+        rng = np.random.default_rng(seed)
+        m = random_model(3, self.HIDDEN, seed % 1000)
+        X = rng.normal(scale=3.0, size=(2 * pairs, 3))
+        scores, cache = ref_forward_cache(m, X)
+        if active == "all":
+            up = rng.choice([-1.0, 1.0], size=2 * pairs) * rng.uniform(0.01, 2.0, size=2 * pairs)
+        elif active == "some":
+            up = pair_upstream(scores, float(np.quantile(scores[:pairs] - scores[pairs:], 0.5)))
+        else:
+            up = np.zeros(2 * pairs)
+        rows = up != 0.0
+        ref_w, ref_b = ref_backward(m, [a[rows] for a in cache], up[rows])
+        _, fused = m.loss_and_grads(X, lambda s: (float(np.dot(up, s)), up))
+        for grads in (m.param_gradients(X, up), fused):
+            assert [g.shape for g in grads[0]] == [w.shape for w in m.weights]
+            for a, b in zip(grads[0] + grads[1], ref_w + ref_b):
+                assert same_bits(a, b)
 
 
 class TestInputGradient:

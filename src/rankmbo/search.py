@@ -68,24 +68,23 @@ class SearchResult:
 class SurrogateObjective:
     """Differentiable search objective: the surrogate's z-score adapted output.
 
-    ``gradient_batch`` writes each forward pass into one ``_score_workspace``
-    of the objective's, allocated again only for another row count, so the
-    steps of an ``ascend`` share one."""
+    An objective serves one ascent: ``gradient_batch`` follows each row's
+    local linear map from one step to the next, through the model's
+    ``_trajectory_gradient``, so a step pays for the units whose ReLU
+    flipped, not for two hidden x hidden products."""
 
     def __init__(self, model: MlpSurrogate):
         if not model.is_adapted:
             raise RuntimeError("model has no adaptation constants; adapt it first")
         self.model = model
         self.x_std = model.x_std
-        self._work = None
+        self._gradient = model._trajectory_gradient()
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         return self.model.predict_adapted_batch(X)
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        if self._work is None or len(self._work[0]) != len(X):
-            self._work = self.model._score_workspace(len(X))
-        return self.model.input_gradient_batch(X, self._work) / self.model.adapt_std
+        return self._gradient(X) / self.model.adapt_std
 
 
 def project_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -20,13 +20,20 @@ is ``_SCORE_ROWS`` (4096) rows, or fewer where a block's widest hidden array
 would pass ``_SCORE_BYTES`` (8 MiB): 512 rows at hidden 2048.  So scoring n
 rows peaks at two block x hidden float64 arrays plus the n scores, and a
 large call does not map and fault in fresh pages per block.
-``input_gradient_batch`` writes into a workspace it is given, as design
-search gives one for all its steps, or else allocates one for its rows.  In
-a call of more than one block a score's last bit can depend on its block,
-which the row's position fixes: OpenBLAS rounds the output product, and for
-blocks of 16 rows or fewer the hidden products, differently at different
-row counts.  At hidden 2048, blocks of 16, 32, 100, 512 and 1024 rows gave
-the scores of 4096-row blocks bit for bit, with 1 and 2 BLAS threads.
+``input_gradient_batch`` allocates one for its rows.  In a call of more
+than one block a score's last bit can depend on its block, which the row's
+position fixes: OpenBLAS rounds the output product, and for blocks of 16
+rows or fewer the hidden products, differently at different row counts.
+At hidden 2048, blocks of 16, 32, 100, 512 and 1024 rows gave the scores of
+4096-row blocks bit for bit, with 1 and 2 BLAS threads.
+
+Design search takes its input gradients from ``_trajectory_gradient``, and
+``input_gradient_batch`` stays its stateless reference.  Wherever the first
+layer's ReLU mask holds, the network is linear up to its second ReLU, so the
+function keeps each trajectory's local map ``W2 diag(m1) [W1 | b1]``: built
+with dim + 1 products at the first step, then updated by the units whose
+mask flipped, a few per row and step.  A paper-width step then costs
+O(rows x hidden x (dim + flips)), not two 128 x 2048 x 2048 products.
 
 A training step is fused: ``MlpSurrogate.loss_and_grads`` runs the forward
 pass once, hands the scores to the trainer's loss function and backpropagates
@@ -207,18 +214,26 @@ class MlpSurrogate:
 
     # -- forward and gradients ------------------------------------------------
 
+    def _first_layer(self, X: np.ndarray, work):
+        """The standardized rows of ``X`` and their first pre-activations,
+        written into the leading ``len(X)`` rows of ``work``'s ``Z`` and
+        ``H1`` and checked finite; returns those views."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected inputs of shape (n, {self.dim})")
+        Z, A1 = work[0][: len(X)], work[1][: len(X)]
+        np.divide(np.subtract(X, self.x_mean, out=Z), self.x_std, out=Z)
+        np.matmul(Z, self.weights[0].T, out=A1)
+        A1 += self.biases[0]
+        _check_finite(A1, 1)
+        return Z, A1
+
     def _forward_cache(self, X: np.ndarray, work):
         """Scores and the ``(Z, H1, H2)`` cache of the rows of ``X``, written
         into the leading ``len(X)`` rows of ``work``, a ``_score_workspace``
         of at least that many rows; the returned arrays are views of it."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected inputs of shape (n, {self.dim})")
-        Z, H1, H2, col = (a[: len(X)] for a in work)
-        np.divide(np.subtract(X, self.x_mean, out=Z), self.x_std, out=Z)
-        np.matmul(Z, self.weights[0].T, out=H1)
-        H1 += self.biases[0]
-        _check_finite(H1, 1)
+        Z, H1 = self._first_layer(X, work)
+        H2, col = (a[: len(Z)] for a in work[2:])
         np.maximum(H1, 0.0, out=H1)
         np.matmul(H1, self.weights[1].T, out=H2)
         H2 += self.biases[1]
@@ -346,20 +361,102 @@ class MlpSurrogate:
         np.sum(d1, axis=0, out=gb1)
         return out
 
-    def input_gradient_batch(self, X: np.ndarray, work=None) -> np.ndarray:
+    def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of h at each row, w.r.t. the raw (unstandardized)
-        input.  ``work`` is as in ``loss_and_grads``: the pass writes into it,
-        and each hidden layer's deltas overwrite its activations, as in
-        ``_backward``; it is allocated for the call when not given."""
-        if work is None:
-            work = self._score_workspace(len(X))
-        _, (_, H1, H2) = self._forward_cache(X, work)
+        input, from one forward pass into a workspace of the call's own;
+        each hidden layer's deltas overwrite its activations, as in
+        ``_backward``.  The stateless reference of ``_trajectory_gradient``."""
+        _, (_, H1, H2) = self._forward_cache(X, self._score_workspace(len(X)))
         mask = H2 > 0.0
         v2 = np.multiply(self.weights[2][0], mask, out=H2)
         mask = H1 > 0.0
         v1 = np.matmul(v2, self.weights[1], out=H1)
         v1 *= mask
         return (v1 @ self.weights[0]) / self.x_std
+
+    def _trajectory_gradient(self):
+        """A function ``gradient(X)`` that returns ``input_gradient_batch(X)``
+        up to rounding, through each row's local linear map; it serves the
+        iterates of one ascent, a call per step with one row count.
+
+        Up to its second ReLU the network is linear wherever the first
+        layer's ReLU mask ``m1`` holds: row i's second pre-activation is
+        ``R_i [z_i; 1] + b2``, with ``R_i = W2 diag(m1_i) [W1 | b1]`` of
+        h2 x (dim + 1) entries, and its input gradient is
+        ``R_i[:, :dim]^T (m2_i * w3) / x_std`` for the second mask ``m2``.
+        The first call, or a call with another row count, builds every
+        ``R_i`` with dim + 1 products.  Every call runs the first layer as
+        ``_forward_cache`` does, so ``m1`` is the reference's bit for bit;
+        a later call then adds ``+-W2[:, j] (x) [W1_j, b1_j]`` to ``R_i``
+        for each unit j whose mask flipped in row i, as one small product per
+        row with flips.  An ascent step flips few units (4.8 of 2048 per row
+        at paper width), so a step costs O(rows x hidden x (dim + flips))
+        instead of two rows x h1 x h2 products.  The finite checks are
+        ``_forward_cache``'s three, layer 2's on ``R_i [z_i; 1] + b2``.  The
+        building call allocates every array of rows x hidden entries, and
+        the function keeps one contiguous copy of ``W2^T``, whose rows the
+        flips gather, so a later call allocates none."""
+        dim, h1, h2 = self.layer_sizes[:3]
+        W1b = np.column_stack([self.weights[0], self.biases[0]])
+        W2T = np.ascontiguousarray(self.weights[1].T)
+        W3, b2, b3 = self.weights[2], self.biases[1], self.biases[2]
+        update = np.empty((dim + 1, h2))
+        work = masks = None
+
+        def gradient(X: np.ndarray) -> np.ndarray:
+            nonlocal work, masks
+            X = np.asarray(X, dtype=float)
+            # masks are set once the maps are built: a check that fails
+            # during the build leaves the next call to build them again
+            built = masks is not None and len(masks[0]) == len(X)
+            if not built:
+                # Z, A1, A2 and the output column; the maps R; a scratch
+                work = self._score_workspace(len(X)) + (
+                    np.empty((len(X), dim + 1, h2)),
+                    np.empty((len(X), h2)),
+                )
+            Z, A1 = self._first_layer(X, work)
+            _, _, A2, col, R, T = work
+            if built:
+                # a spare for this call's m1, the last call's, and a scratch
+                m1, last, flipped = masks
+                np.greater(A1, 0.0, out=m1)
+                flips = np.flatnonzero(np.not_equal(m1, last, out=flipped))
+                # T holds the W2^T rows of len(T) flips at a time, in row order
+                for start in range(0, len(flips), len(T)):
+                    rows, units = np.divmod(flips[start : start + len(T)], h1)
+                    coef = W1b[units]
+                    coef[~m1[rows, units]] *= -1.0  # the units that turned off
+                    # units < h1, so mode="clip" clips nothing; the default
+                    # "raise" would buffer out in a fresh array of its size
+                    G = np.take(W2T, units, axis=0, out=T[: len(units)], mode="clip")
+                    runs = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+                    for a, b in zip(runs, runs[1:]):
+                        R[rows[a]] += np.matmul(coef[a:b].T, G[a:b], out=update)
+                masks[:2] = last, m1
+            else:
+                m1 = A1 > 0.0
+                for k in range(dim + 1):
+                    np.matmul(np.multiply(m1, W1b[:, k], out=A1), W2T, out=R[:, k])
+                masks = [np.empty_like(m1), m1, np.empty_like(m1)]
+            np.multiply(R[:, 0], Z[:, :1], out=A2)
+            for k in range(1, dim):
+                A2 += np.multiply(R[:, k], Z[:, k : k + 1], out=T)
+            A2 += R[:, dim]
+            A2 += b2
+            _check_finite(A2, 2)
+            np.maximum(A2, 0.0, out=A2)
+            np.matmul(A2, W3.T, out=col)
+            col += b3
+            _check_finite(col, 3)
+            # m2 * w3, with the subgradient 0 at 0
+            v = np.heaviside(A2, 0.0, out=T)
+            v *= W3[0]
+            g = np.einsum("ikj,ij->ik", R[:, :dim], v)
+            g /= self.x_std
+            return g
+
+        return gradient
 
     # -- output adaptation ----------------------------------------------------
 

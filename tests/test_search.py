@@ -1,7 +1,11 @@
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmbo.objectives import DarConfig, partition, train_dar
 from rankmbo.search import (
@@ -13,7 +17,7 @@ from rankmbo.search import (
     save_search_result,
     score_candidates,
 )
-from rankmbo.surrogate import init_surrogate, zscore_adapt
+from rankmbo.surrogate import MlpSurrogate, init_surrogate, zscore_adapt
 from rankmbo.tasks import OfflineDataset, ValidationError, quadratic_bowl_task
 
 
@@ -40,6 +44,10 @@ class ZeroGradient:
 
     def gradient_batch(self, X):
         return np.zeros_like(np.atleast_2d(X))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_dataset(m=40, seed=0):
@@ -175,28 +183,145 @@ class TestAscend:
         assert np.allclose(t_adapted, t_raw, atol=1e-9)
 
 
-class TestSearchWorkspace:
-    def test_one_workspace_per_ascend_and_the_same_steps(self, monkeypatch):
+def exact_model(rng, dim, hidden):
+    """A surrogate whose weights, biases and inputs are small multiples of
+    1/8, with x_mean 0, x_std 1 and a power-of-two adapt_std, so that every
+    product and sum of either gradient path is exact."""
+    eighths = lambda *shape: rng.integers(-4, 5, size=shape) / 8.0
+    model = MlpSurrogate(
+        [eighths(hidden, dim), eighths(hidden, hidden), eighths(1, hidden)],
+        [eighths(hidden), eighths(hidden), eighths(1)],
+    )
+    model.adapt_mean, model.adapt_std = 0.0, 2.0 ** int(rng.integers(-3, 4))
+    return model
+
+
+def exact_walk(seed, dim, hidden, rows, steps):
+    """Feeds one objective a random walk of exact inputs and checks every
+    gradient against ``input_gradient_batch(X) / adapt_std``; returns the
+    number of first-layer pre-activations that were exactly 0."""
+    rng = np.random.default_rng(seed)
+    model = exact_model(rng, dim, hidden)
+    objective = SurrogateObjective(model)
+    X = rng.integers(-8, 9, size=(rows, dim)) / 8.0
+    zeros = 0
+    for _ in range(steps):
+        expected = model.input_gradient_batch(X) / model.adapt_std
+        assert np.array_equal(objective.gradient_batch(X), expected)
+        zeros += int(np.sum(X @ model.weights[0].T + model.biases[0] == 0.0))
+        X = X + rng.integers(-2, 3, size=X.shape) / 8.0
+    return zeros
+
+
+def adapted_model(dim, hidden, seed):
+    """A surrogate with nonzero biases, input standardization and output
+    adaptation, untrained."""
+    rng = np.random.default_rng(seed)
+    model = init_surrogate(dim, hidden, seed=seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    model.set_input_standardization(rng.normal(size=dim), rng.uniform(0.5, 2.0, size=dim))
+    return model.adapt_output(rng.normal(scale=3.0, size=(200, dim)))
+
+
+def reference(model):
+    """The stateless gradient: one ``input_gradient_batch`` per step."""
+    return SimpleNamespace(
+        gradient_batch=lambda X: model.input_gradient_batch(X) / model.adapt_std,
+        x_std=model.x_std,
+    )
+
+
+class TestTrajectoryGradient:
+    """``SurrogateObjective.gradient_batch`` follows each row's local linear
+    map; ``input_gradient_batch`` is its stateless reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        hidden=st.integers(1, 8),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_networks_give_the_reference_bit_for_bit(self, dim, hidden, rows, seed):
+        exact_walk(seed, dim, hidden, rows, steps=30)
+
+    def test_exact_walks_reach_the_kink(self):
+        # the subgradient at an exact zero is 0 on both paths
+        zeros = sum(exact_walk(seed, 2, 6, 4, steps=30) for seed in range(40))
+        assert zeros > 100
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        hidden=st.integers(16, 512),
+        rows=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_weights_follow_the_reference_ascent(self, dim, hidden, rows, seed):
+        model = adapted_model(dim, hidden, seed)
+        X0 = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(rows, dim))
+        cfg = SearchConfig(step_size=0.05, steps=200)
+        expected = ascend(reference(model), X0, -5.0, 5.0, cfg)
+        paths = ascend(SurrogateObjective(model), X0, -5.0, 5.0, cfg)
+        assert np.max(np.abs(paths - expected)) < 1e-9
+
+    def test_two_fresh_objectives_give_the_same_path(self):
+        model = adapted_model(2, 64, seed=5)
+        X0 = np.random.default_rng(5).uniform(-4.0, 4.0, size=(9, 2))
+        cfg = SearchConfig(step_size=0.05, steps=50)
+        first = ascend(SurrogateObjective(model), X0, -5.0, 5.0, cfg)
+        assert same_bits(ascend(SurrogateObjective(model), X0, -5.0, 5.0, cfg), first)
+
+    def test_steps_after_the_first_allocate_no_candidates_by_hidden_array(self):
+        # the first step allocates the workspace and the maps, (dim + 1)
+        # arrays of candidates x hidden; a later one allocates its
+        # gradient, the flipped units' indices and coefficients, a bool
+        # row of the finite check and numpy's ufunc buffers for strided or
+        # broadcast operands (at most 8192 entries each, at any size)
+        rows, hidden, steps = 128, 512, 12
+        model = adapted_model(2, hidden, seed=3)
+        objective = SurrogateObjective(model)
+        grown = []
+
+        def gradient_batch(X):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            g = objective.gradient_batch(X)
+            grown.append(tracemalloc.get_traced_memory()[1] - start)
+            return g
+
+        probe = SimpleNamespace(gradient_batch=gradient_batch, x_std=objective.x_std)
+        X0 = np.random.default_rng(3).uniform(-4.0, 4.0, size=(rows, 2))
+        tracemalloc.start()
+        try:
+            path = ascend(probe, X0, -5.0, 5.0, SearchConfig(step_size=0.2, steps=steps))
+        finally:
+            tracemalloc.stop()
+        masks = [Z @ model.weights[0].T + model.biases[0] > 0.0
+                 for Z in (path.transpose(1, 0, 2) - model.x_mean) / model.x_std]
+        assert sum(np.sum(a != b) for a, b in zip(masks, masks[1:-1])) > rows  # units flipped
+        array = rows * hidden * 8
+        assert len(grown) == steps
+        assert grown[0] > 3 * array
+        assert max(grown[1:]) < array
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_layer_two_overflow_mid_ascent_raises(self):
+        # unit 1 of the first layer turns on once x_0 passes 3, and its W2
+        # column overflows the second layer
+        model = MlpSurrogate(
+            [np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1e308]]), np.array([[1.0]])],
+            [np.array([10.0, -3.0]), np.zeros(1), np.zeros(1)],
+        )
+        model.adapt_mean, model.adapt_std = 0.0, 1.0
         ds = make_dataset()
-        model, _ = train_dar(
-            init_surrogate(2, 16, seed=1),
-            ds,
-            DarConfig(iterations=50, batch_size=16, learning_rate=1e-3, seed=2),
-        )
-        X0, lo, hi = ds.designs[:5], ds.task.lower, ds.task.upper
-        cfg = SearchConfig(steps=12)
-        # a gradient that allocates its own workspace at every step
-        fresh = SimpleNamespace(
-            gradient_batch=lambda X: model.input_gradient_batch(X) / model.adapt_std,
-            x_std=model.x_std,
-        )
-        expected = ascend(fresh, X0, lo, hi, cfg)
-        sizes = []
-        allocate = model._score_workspace
-        monkeypatch.setattr(model, "_score_workspace", lambda rows: sizes.append(rows) or allocate(rows))
-        for _ in range(2):
-            assert np.array_equal(ascend(SurrogateObjective(model), X0, lo, hi, cfg), expected)
-        assert sizes == [5, 5]
+        part = partition(ds, 0.2)
+        cfg = SearchConfig(step_size=0.5, steps=1, num_candidates=4, seed=0)
+        assert np.all(propose_candidates(model, ds, part, cfg).init_designs[:, 0] < 2.0)
+        propose_candidates(model, ds, part, cfg)  # a first step is finite
+        with pytest.raises(FloatingPointError, match="layer 2"):
+            propose_candidates(model, ds, part, replace(cfg, steps=20))
 
 
 class TestProposeAndScore:

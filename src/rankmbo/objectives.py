@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "mse_loss",
     "mse_loss_grad",
     "margin_rank_loss",
-    "margin_rank_loss_grad",
     "zero_one_rank_loss",
     "sample_ranked_pairs",
     "sample_dar_pairs",
@@ -153,13 +153,17 @@ def margin_rank_loss(s_pref, s_other, margin: float):
     return np.maximum(0.0, margin - (s_pref - s_other))
 
 
-def margin_rank_loss_grad(s_pref, s_other, margin: float):
-    """Gradients w.r.t. (s_pref, s_other); zero at and beyond the hinge point."""
-    s_pref = np.asarray(s_pref, dtype=float)
-    s_other = np.asarray(s_other, dtype=float)
-    active = (margin - (s_pref - s_other)) > 0.0
-    g = active.astype(float)
-    return -g, g
+def _pairwise_loss(scores: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
+    """Mean margin loss of the pairs (row i, row bs + i) of ``scores``, with
+    bs half their number, and its gradient with respect to each score:
+    -1/bs on a pair's preferred row and +1/bs on its other row where the
+    pair's loss is positive, exactly where ``margin - (s_pref - s_other)``
+    is, and 0 at and past the hinge, where the preferred row gets -0.0.  A
+    NaN gap gives a NaN loss and zero gradients."""
+    bs = len(scores) // 2
+    losses = margin_rank_loss(scores[:bs], scores[bs:], margin)
+    g = (losses > 0.0) / bs
+    return float(np.mean(losses)), np.concatenate((-g, g))
 
 
 def zero_one_rank_loss(s_pref, s_other):
@@ -178,13 +182,10 @@ def _require_ranked_pair(
         raise ValueError(message)
 
 
-def _require_intra_pairs(
-    scores: np.ndarray, part: PartitionedDataset, intra_ratio: float
-) -> None:
+def _require_intra_pairs(near_scores: np.ndarray, intra_ratio: float) -> None:
     if intra_ratio > 0.0:
         _require_ranked_pair(
-            scores[part.near_idx],
-            "near set cannot form intra-region pairs; set intra_ratio=0",
+            near_scores, "near set cannot form intra-region pairs; set intra_ratio=0"
         )
 
 
@@ -262,20 +263,21 @@ def sample_dar_pairs(
     ValueError, before drawing, when intra_ratio > 0 and no two near scores
     are strictly ordered.
     """
-    scores = np.asarray(scores, dtype=float)
-    _require_intra_pairs(scores, part, intra_ratio)
+    near_scores = np.asarray(scores, dtype=float)[part.near_idx]
+    _require_intra_pairs(near_scores, intra_ratio)
     u = rng.random(count)
     intra = u > (1.0 - intra_ratio)
+    cross = ~intra
     pref = np.empty(count, dtype=np.int64)
     other = np.empty(count, dtype=np.int64)
 
-    n_cross = int((~intra).sum())
-    pref[~intra] = part.near_idx[rng.integers(0, part.n_near, size=n_cross)]
-    other[~intra] = part.sub_idx[rng.integers(0, part.n_sub, size=n_cross)]
+    n_cross = int(cross.sum())
+    pref[cross] = part.near_idx[rng.integers(0, part.n_near, size=n_cross)]
+    other[cross] = part.sub_idx[rng.integers(0, part.n_sub, size=n_cross)]
 
     n_intra = count - n_cross
     if n_intra > 0:
-        near_pref, near_other = _draw_ranked(rng, scores[part.near_idx], n_intra)
+        near_pref, near_other = _draw_ranked(rng, near_scores, n_intra)
         pref[intra] = part.near_idx[near_pref]
         other[intra] = part.near_idx[near_other]
     return pref, other, intra
@@ -377,17 +379,11 @@ def _train_pairwise(
     tag: str,
 ) -> tuple[MlpSurrogate, np.ndarray]:
     X = dataset.designs
-    bs = config.batch_size
-
-    def loss_fn(scores):
-        s_pref, s_other = scores[:bs], scores[bs:]
-        loss = float(np.mean(margin_rank_loss(s_pref, s_other, config.margin)))
-        g_pref, g_other = margin_rank_loss_grad(s_pref, s_other, config.margin)
-        return loss, np.concatenate([g_pref, g_other]) / bs
+    loss_fn = partial(_pairwise_loss, margin=config.margin)
 
     def next_batch(rng):
-        pref, other = draw_pairs(rng, bs)
-        return np.vstack([X[pref], X[other]]), loss_fn
+        pref, other = draw_pairs(rng, config.batch_size)
+        return X[np.concatenate((pref, other))], loss_fn
 
     return _descend(model, dataset, config, next_batch, tag)
 
@@ -413,7 +409,7 @@ def train_dar(
     margin-loss descent, then z-score output adaptation."""
     part = partition(dataset, config.near_fraction)
     y = dataset.scores
-    _require_intra_pairs(y, part, config.intra_ratio)
+    _require_intra_pairs(y[part.near_idx], config.intra_ratio)
 
     def draw(rng, count):
         pref, other, _ = sample_dar_pairs(rng, y, part, config.intra_ratio, count)

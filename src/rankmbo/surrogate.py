@@ -377,17 +377,17 @@ class MlpSurrogate:
     def _trajectory_gradient(self):
         """A function ``gradient(X)`` that returns ``input_gradient_batch(X)``
         up to rounding, through each row's local linear map; it serves the
-        iterates of one ascent, a call per step with one row count.
+        iterates of one ascent, a call per step, all with the first call's
+        row count.
 
         Up to its second ReLU the network is linear wherever the first
         layer's ReLU mask ``m1`` holds: row i's second pre-activation is
         ``R_i [z_i; 1] + b2``, with ``R_i = W2 diag(m1_i) [W1 | b1]`` of
         h2 x (dim + 1) entries, and its input gradient is
         ``R_i[:, :dim]^T (m2_i * w3) / x_std`` for the second mask ``m2``.
-        The first call, or a call with another row count, builds every
-        ``R_i`` with dim + 1 products.  Every call runs the first layer as
-        ``_forward_cache`` does, so ``m1`` is the reference's bit for bit;
-        a later call then adds ``+-W2[:, j] (x) [W1_j, b1_j]`` to ``R_i``
+        The first call builds every ``R_i`` with dim + 1 products.  Every
+        call runs the first layer as ``_forward_cache`` does, so ``m1`` is
+        the reference's bit for bit; a later call then adds ``+-W2[:, j] (x) [W1_j, b1_j]`` to ``R_i``
         for each unit j whose mask flipped in row i, as one small product per
         row with flips.  An ascent step flips few units (4.8 of 2048 per row
         at paper width), so a step costs O(rows x hidden x (dim + flips))
@@ -408,15 +408,17 @@ class MlpSurrogate:
             X = np.asarray(X, dtype=float)
             # masks are set once the maps are built: a check that fails
             # during the build leaves the next call to build them again
-            built = masks is not None and len(masks[0]) == len(X)
+            built = masks is not None
             if not built:
-                # Z, A1, A2 and the output column; the maps R; a scratch
+                # Z, A1, A2 and the output column; the maps R; a scratch;
+                # the second mask
                 work = self._score_workspace(len(X)) + (
                     np.empty((len(X), dim + 1, h2)),
                     np.empty((len(X), h2)),
+                    np.empty((len(X), h2), dtype=bool),
                 )
             Z, A1 = self._first_layer(X, work)
-            _, _, A2, col, R, T = work
+            _, _, A2, col, R, T, m2 = work
             if built:
                 # a spare for this call's m1, the last call's, and a scratch
                 m1, last, flipped = masks
@@ -450,8 +452,7 @@ class MlpSurrogate:
             col += b3
             _check_finite(col, 3)
             # m2 * w3, with the subgradient 0 at 0
-            v = np.heaviside(A2, 0.0, out=T)
-            v *= W3[0]
+            v = np.multiply(np.greater(A2, 0.0, out=m2), W3[0], out=T)
             g = np.einsum("ikj,ij->ik", R[:, :dim], v)
             g /= self.x_std
             return g

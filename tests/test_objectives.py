@@ -14,7 +14,6 @@ from rankmbo.objectives import (
     RankConfig,
     TrainingDiverged,
     margin_rank_loss,
-    margin_rank_loss_grad,
     mse_loss,
     mse_loss_grad,
     partition,
@@ -27,6 +26,7 @@ from rankmbo.objectives import (
     train_rank_global,
     zero_one_rank_loss,
     _draw_ranked_direct,
+    _pairwise_loss,
 )
 from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate, zscore_adapt
 from rankmbo.tasks import OfflineDataset, ValidationError, quadratic_bowl_task
@@ -120,15 +120,6 @@ class TestLosses:
         assert margin_rank_loss(0.0, 0.0, 0.4) == pytest.approx(0.4)
         assert margin_rank_loss(0.1, 0.0, 0.4) == pytest.approx(0.3)
 
-    def test_margin_gradients(self):
-        g1, g2 = margin_rank_loss_grad(0.1, 0.0, 0.4)
-        assert (g1, g2) == (-1.0, 1.0)
-        g1, g2 = margin_rank_loss_grad(2.0, 0.0, 0.4)
-        assert (g1, g2) == (0.0, 0.0)
-        # at the kink the loss is 0 and so are the gradients
-        g1, g2 = margin_rank_loss_grad(0.4, 0.0, 0.4)
-        assert (g1, g2) == (0.0, 0.0)
-
     def test_margin_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -138,22 +129,54 @@ class TestLosses:
                 margin_rank_loss(s1, s2, beta), abs=1e-9
             )
 
-    def test_margin_gradient_matches_finite_differences(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eighths=st.lists(st.integers(-16, 16), min_size=2, max_size=40).filter(
+            lambda v: len(v) % 2 == 0
+        ),
+        margin_eighths=st.integers(0, 8),
+    )
+    def test_pairwise_loss_and_upstream(self, eighths, margin_eighths):
+        # multiples of 1/8 make every gap exact, so some pairs sit exactly
+        # at the hinge, where the loss and the upstream are 0
+        scores, margin = np.array(eighths) / 8.0, margin_eighths / 8.0
+        bs = len(scores) // 2
+        loss, up = _pairwise_loss(scores, margin)
+        losses = margin_rank_loss(scores[:bs], scores[bs:], margin)
+        assert loss == float(np.mean(losses))
+        active = margin - (scores[:bs] - scores[bs:]) > 0.0
+        assert np.array_equal(up[:bs], np.where(active, -1.0 / bs, 0.0))
+        assert np.array_equal(up[bs:], np.where(active, 1.0 / bs, 0.0))
+
+    def test_pairwise_loss_at_the_hinge_and_past_it(self):
+        # pairs: inside the margin, exactly at it, past it, a NaN gap
+        scores = np.array([0.1, 0.4, 2.0, np.nan, 0.0, 0.0, 0.0, 0.0])
+        loss, up = _pairwise_loss(scores, 0.4)
+        assert math.isnan(loss)
+        assert np.array_equal(up, [-0.25, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0])
+        assert np.array_equal(np.signbit(up), [True] * 4 + [False] * 4)
+        loss, up = _pairwise_loss(scores[[0, 1, 2, 4, 5, 6]], 0.4)
+        assert loss == pytest.approx(0.1)
+        assert np.array_equal(up, np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]) / 3)
+
+    def test_pairwise_upstream_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         step = 1e-6
         checked = 0
-        for _ in range(200):
-            s1, s2 = rng.normal(size=2)
-            beta = abs(rng.normal())
-            if abs(beta - (s1 - s2)) <= 1e-4:
+        for _ in range(50):
+            scores = rng.normal(size=16)
+            margin = abs(rng.normal())
+            if np.min(np.abs(margin - (scores[:8] - scores[8:]))) <= 1e-4:
                 continue
-            fd1 = (margin_rank_loss(s1 + step, s2, beta) - margin_rank_loss(s1 - step, s2, beta)) / (2 * step)
-            fd2 = (margin_rank_loss(s1, s2 + step, beta) - margin_rank_loss(s1, s2 - step, beta)) / (2 * step)
-            g1, g2 = margin_rank_loss_grad(s1, s2, beta)
-            assert abs(g1 - fd1) < 1e-6 * max(1.0, abs(fd1))
-            assert abs(g2 - fd2) < 1e-6 * max(1.0, abs(fd2))
+            _, up = _pairwise_loss(scores, margin)
+            for i in range(16):
+                hi, lo = scores.copy(), scores.copy()
+                hi[i] += step
+                lo[i] -= step
+                fd = (_pairwise_loss(hi, margin)[0] - _pairwise_loss(lo, margin)[0]) / (2 * step)
+                assert abs(up[i] - fd) < 1e-6
             checked += 1
-        assert checked > 150
+        assert checked > 40
 
     def test_zero_one_cases(self):
         assert zero_one_rank_loss(1.0, 0.0) == 0.0

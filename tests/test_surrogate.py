@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from rankmbo import surrogate
 from rankmbo.artifacts import write_json
-from rankmbo.objectives import margin_rank_loss_grad
+from rankmbo.objectives import _pairwise_loss
 from rankmbo.surrogate import (
     MlpSurrogate,
     TrainConfig,
@@ -114,9 +114,7 @@ def random_model(dim, hidden, seed):
 def pair_upstream(scores, margin):
     """The pairwise trainers' upstream gradient for pairs (row i, row k + i):
     zero for every pair past the margin, -0.0 on its preferred row."""
-    k = len(scores) // 2
-    g_pref, g_other = margin_rank_loss_grad(scores[:k], scores[k:], margin)
-    return np.concatenate([g_pref, g_other]) / k
+    return _pairwise_loss(scores, margin)[1]
 
 
 def ref_input_gradient_batch(model, X):

@@ -30,9 +30,6 @@ class ExactBowl:
         self.center = np.asarray(center, dtype=float)
         self.x_std = np.ones_like(self.center)
 
-    def value_batch(self, X):
-        return -np.sum((np.atleast_2d(X) - self.center) ** 2, axis=1)
-
     def gradient_batch(self, X):
         return -2.0 * (np.atleast_2d(X) - self.center)
 

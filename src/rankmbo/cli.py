@@ -24,7 +24,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .config import PROFILES, ValidationError, apply_profile, load_config, reseed, validate
-from .diagnostics import save_report_summary
+from .diagnostics import report_summary
 from .harness import build_dataset, compare, error_record, run, run_diagnostics
 from .harness import run_search, save_compare_rows, save_diagnostics, save_training
 from .harness import sweep, train_model
@@ -138,14 +138,14 @@ def _cmd_diagnose(args) -> int:
     cfg, out, dataset, model = _stage(args, trained=True)
     report, audits = run_diagnostics(cfg, model, dataset)
     save_diagnostics(out, report, audits)
-    save_report_summary(report, out / "diagnostics.json")
+    write_json(out / "diagnostics.json", report_summary(report))
     print(f"overall ranking error {report.overall_error:.4f}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    manifest = run(cfg, args.out, profile=args.profile)
+    manifest = run(cfg, args.out)
     print(
         f"run complete: best_normalized={manifest['search']['best_normalized']:.4f} "
         f"overall_rank_error={manifest['diagnostics']['overall_error']:.4f}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .diagnostics import _check_eval_pool, _check_radii, _check_w1_sample_size
-from .objectives import DarConfig, get_objective
+from .objectives import DarConfig, _check_fraction, get_objective
 from .search import SearchConfig
 from .tasks import ValidationError, _check_non_negative, _check_pool, _check_seed, get_task
 
@@ -171,13 +171,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    """Rebuild every section, which runs its checks; an error is reported
-    under the dotted config path."""
+    """Rebuild every section, which runs its checks, then check the one rule
+    across sections: ``train.near_fraction`` must leave a kept design off
+    the near side.  An error is reported under the dotted config path."""
     for name in SECTIONS:
         try:
             replace(getattr(cfg, name))
         except ValidationError as exc:
             raise ValidationError(f"{name}.{exc.field}", exc.message) from None
+    keep = _check_pool(cfg.task.pool_size, cfg.task.keep_fraction, cfg.task.noise_std)
+    _check_fraction("train.near_fraction", cfg.train.near_fraction, keep)
 
 
 def apply_profile(cfg: ExperimentConfig, profile: str | None) -> ExperimentConfig:

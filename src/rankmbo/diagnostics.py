@@ -32,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv
 from .objectives import _check_fraction, partition_scores
 from .tasks import OfflineDataset, TaskSpec, ValidationError
 
@@ -55,7 +55,6 @@ __all__ = [
     "save_radius_rows",
     "save_bound_reports",
     "report_summary",
-    "save_report_summary",
 ]
 
 ASSIGNMENT_CAP = 512
@@ -146,10 +145,10 @@ def make_eval_pool(
 
 def _check_eval_pool(size: int, near_fraction: float) -> None:
     """Raises ValidationError naming the config key of a bad pool size or
-    near fraction."""
+    of a near fraction that leaves the pool no suboptimal design."""
     if size < 2:
         raise ValidationError("eval_pool_size", "must be at least 2")
-    _check_fraction("eval_near_fraction", near_fraction)
+    _check_fraction("eval_near_fraction", near_fraction, size)
 
 
 def _check_w1_sample_size(n: int) -> None:
@@ -482,7 +481,3 @@ def report_summary(report: RankingErrorReport) -> dict:
             for r in report.rows
         ],
     }
-
-
-def save_report_summary(report: RankingErrorReport, path: str | Path) -> None:
-    write_json(path, report_summary(report))

@@ -220,11 +220,7 @@ def _artifact_ids(out: Path) -> dict:
     return ids
 
 
-def run(
-    cfg: ExperimentConfig,
-    out_dir: str | Path,
-    profile: str | None = None,
-) -> dict:
+def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Execute the full pipeline and write all artifacts; returns the manifest.
 
     The config is validated before anything is written, so a bad value raises
@@ -250,7 +246,7 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     before = _artifact_ids(out)
     try:
-        return _run_stages(cfg, out, profile, started, faults_before)
+        return _run_stages(cfg, out, started, faults_before)
     except Exception:
         for name, ident in _artifact_ids(out).items():
             if before.get(name) != ident:
@@ -258,7 +254,7 @@ def run(
         raise
 
 
-def _run_stages(cfg, out: Path, profile, started: float, faults_before: int) -> dict:
+def _run_stages(cfg, out: Path, started: float, faults_before: int) -> dict:
     stage_s = dict.fromkeys(("data", "train", "search", "diagnostics", "write"), 0.0)
     stage_peak = dict.fromkeys(stage_s, 0.0)
 
@@ -292,7 +288,6 @@ def _run_stages(cfg, out: Path, profile, started: float, faults_before: int) -> 
 
     manifest = {
         "version": f"rankmbo-{__version__}",
-        "profile": profile,
         "objective": cfg.train.objective,
         "config": cfg.to_dict(),
         "seeds": cfg.resolved_seeds(),

@@ -36,7 +36,6 @@ __all__ = [
     "partition",
     "partition_scores",
     "mse_loss",
-    "mse_loss_grad",
     "margin_rank_loss",
     "zero_one_rank_loss",
     "sample_ranked_pairs",
@@ -79,11 +78,15 @@ class PartitionedDataset:
         return len(self.sub_idx)
 
 
-def _check_fraction(field: str, value: float) -> None:
+def _check_fraction(field: str, value: float, m: int | None = None) -> None:
     """The near-fraction rule of every partition: raises ValidationError
-    naming ``field`` unless ``value`` lies strictly in (0, 1)."""
+    naming ``field`` unless ``value`` lies strictly in (0, 1) and, given the
+    number ``m`` of scores to split, keeps one off the near side, which
+    takes the top ceil(value * m) as ``partition_scores`` counts them."""
     if not 0.0 < value < 1.0:
         raise ValidationError(field, "must lie strictly in (0, 1)")
+    if m is not None and math.ceil(value * m) >= m:
+        raise ValidationError(field, f"{value} puts all {m} scores on the near side")
 
 
 @dataclass
@@ -118,7 +121,7 @@ def partition_scores(scores: np.ndarray, near_fraction: float) -> PartitionedDat
     m = len(scores)
     if m < 2:
         raise ValueError("partition needs at least 2 scores")
-    _check_fraction("near_fraction", near_fraction)
+    _check_fraction("near_fraction", near_fraction, m)
     k = int(math.ceil(near_fraction * m))
     threshold = float(np.sort(scores)[::-1][k - 1])
     near = np.flatnonzero(scores >= threshold)
@@ -141,9 +144,11 @@ def mse_loss(pred, y):
     return (np.asarray(pred, dtype=float) - np.asarray(y, dtype=float)) ** 2
 
 
-def mse_loss_grad(pred, y):
-    """d/dpred of the squared error: 2 (pred - y)."""
-    return 2.0 * (np.asarray(pred, dtype=float) - np.asarray(y, dtype=float))
+def _mse_loss(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of ``scores`` against the targets ``y`` and its
+    gradient with respect to each score, both from one residual."""
+    d = scores - y
+    return float(np.mean(d**2)), 2.0 * d / len(d)
 
 
 def margin_rank_loss(s_pref, s_other, margin: float):
@@ -356,17 +361,10 @@ def train_mse(
     inference.  Returns the model and the per-iteration mean batch loss.
     """
     X, y = dataset.designs, dataset.scores
-    bs = config.batch_size
 
     def next_batch(rng):
-        idx = rng.integers(0, len(y), size=bs)
-        y_batch = y[idx]
-
-        def loss_fn(preds):
-            loss = float(np.mean(mse_loss(preds, y_batch)))
-            return loss, mse_loss_grad(preds, y_batch) / bs
-
-        return X[idx], loss_fn
+        idx = rng.integers(0, len(y), size=config.batch_size)
+        return X[idx], partial(_mse_loss, y=y[idx])
 
     return _descend(model, dataset, config, next_batch, "mse")
 

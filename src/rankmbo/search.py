@@ -80,9 +80,6 @@ class SurrogateObjective:
         self.x_std = model.x_std
         self._gradient = model._trajectory_gradient()
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_adapted_batch(X)
-
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         return self._gradient(X) / self.model.adapt_std
 
@@ -158,7 +155,7 @@ def propose_candidates(
     return SearchResult(
         init_designs=X0,
         candidates=candidates,
-        surrogate_scores=objective.value_batch(candidates),
+        surrogate_scores=model.predict_adapted_batch(candidates),
         config=config,
     )
 
@@ -177,6 +174,10 @@ def score_candidates(result: SearchResult, dataset: OfflineDataset) -> SearchRes
 def save_search_result(
     result: SearchResult, csv_path: str | Path, json_path: str | Path
 ) -> None:
+    """Write a scored result: one CSV row per candidate and the JSON summary.
+    An unscored result raises ValueError before either file is written."""
+    if result.true_scores is None:
+        raise ValueError("the result is unscored; run score_candidates first")
     dim = result.candidates.shape[1]
     header = (
         ["candidate_id"]
@@ -184,12 +185,9 @@ def save_search_result(
         + [f"xfinal_{i}" for i in range(dim)]
         + ["surrogate_score", "true_score", "normalized_score"]
     )
-    n = len(result.candidates)
-    true_scores = result.true_scores if result.true_scores is not None else [np.nan] * n
-    norm_scores = (
-        result.normalized_scores if result.normalized_scores is not None else [np.nan] * n
+    scores = np.column_stack(
+        [result.surrogate_scores, result.true_scores, result.normalized_scores]
     )
-    scores = np.column_stack([result.surrogate_scores, true_scores, norm_scores])
     values = np.hstack([result.init_designs, result.candidates, scores]).tolist()
     write_csv(csv_path, header, ([cid] + row for cid, row in enumerate(values)))
     summary = {

@@ -207,8 +207,10 @@ class MlpSurrogate:
         std = np.asarray(std, dtype=float)
         if mean.shape != (self.dim,) or std.shape != (self.dim,):
             raise ValueError("standardization constants must have shape (dim,)")
-        if np.any(std <= 0.0):
-            raise ValueError("x_std must be positive")
+        if not np.isfinite(mean).all():
+            raise ValueError("x_mean: must be finite")
+        if not (np.isfinite(std).all() and (std > 0.0).all()):
+            raise ValueError("x_std: must be finite and positive")
         self.x_mean = mean
         self.x_std = std
 
@@ -505,8 +507,9 @@ class MlpSurrogate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpSurrogate":
-        """Inverse of ``to_dict``; a malformed array raises ``ValueError``
-        naming its field, such as ``weights[1]``."""
+        """Inverse of ``to_dict``; a malformed array or constant raises
+        ``ValueError`` naming its field, such as ``weights[1]`` or
+        ``adapt_std``."""
         sizes = data["layer_sizes"]
         if not (
             isinstance(sizes, list)
@@ -523,9 +526,22 @@ class MlpSurrogate:
         model.set_input_standardization(
             np.array(data["x_mean"], dtype=float), np.array(data["x_std"], dtype=float)
         )
-        model.adapt_mean = data.get("adapt_mean")
-        model.adapt_std = data.get("adapt_std")
-        model.adapt_degenerate = bool(data.get("adapt_degenerate", False))
+        # both null (an unadapted model), or both finite with adapt_std > 0
+        mean, std = data.get("adapt_mean"), data.get("adapt_std")
+        if mean is not None or std is not None:
+            for key, value in (("adapt_mean", mean), ("adapt_std", std)):
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(
+                        f"{key}: expected a finite number, or null with the other, got {value!r}"
+                    )
+            if std <= 0:
+                raise ValueError(f"adapt_std: must be positive, got {std!r}")
+        model.adapt_mean, model.adapt_std = mean, std
+        model.adapt_degenerate = data.get("adapt_degenerate", False)
+        if type(model.adapt_degenerate) is not bool:
+            raise ValueError(
+                f"adapt_degenerate: expected true or false, got {model.adapt_degenerate!r}"
+            )
         model.objective = data.get("objective")
         model.train_config = data.get("train_config")
         model.task = data.get("task")

@@ -90,6 +90,8 @@ BAD_VALUES = [
     ("train.seed", "-1"),
     ("train.near_fraction", "0.0"),
     ("train.near_fraction", "1.0"),
+    # ceil(0.9997 * 3000 kept designs) = 3000: no kept design is suboptimal
+    ("train.near_fraction", "0.9997"),
     ("train.intra_ratio", "-0.1"),
     ("train.intra_ratio", "1.5"),
     ("search.step_size", "-0.1"),
@@ -99,6 +101,8 @@ BAD_VALUES = [
     ("search.num_candidates", "0"),
     ("diagnostics.eval_pool_size", "1"),
     ("diagnostics.eval_near_fraction", "0.0"),
+    # ceil(0.9998 * 4000 pool designs) = 4000: no pool design is suboptimal
+    ("diagnostics.eval_near_fraction", "0.9998"),
     ("diagnostics.radii", "2.0, 1.0"),
     ("diagnostics.radii", "nan"),
     ("diagnostics.radii", "1.0, nan"),
@@ -117,6 +121,12 @@ CLI_BAD_LINES = [
     ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 0"),
     # above the exact-solve cap, although this eval pool would cap the sample
     ("diagnostics.w1_sample_size", "w1_sample_size = 8", "w1_sample_size = 513"),
+    # ceil(0.9999 * 150) = 150: every eval pool design on the near side
+    (
+        "diagnostics.eval_near_fraction",
+        "eval_near_fraction = 0.1",
+        "eval_near_fraction = 0.9999",
+    ),
 ]
 
 
@@ -195,6 +205,20 @@ class TestConfig:
         with pytest.raises(ValidationError) as excinfo:
             parse_config(f"[{section}]\n{key} = {value}\n")
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # ceil(f * 3000) = 2999 of the default kept designs; 0.9997 fails
+            ("train.near_fraction", "0.9996"),
+            # ceil(f * 4000) = 3999 of the default eval pool; 0.9998 fails
+            ("diagnostics.eval_near_fraction", "0.99975"),
+        ],
+    )
+    def test_near_fraction_leaving_one_suboptimal_design_passes(self, field, value):
+        section, key = field.split(".")
+        cfg = parse_config(f"[{section}]\n{key} = {value}\n")
+        assert getattr(getattr(cfg, section), key) == float(value)
 
     def test_invalid_near_fraction_names_field(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -353,6 +377,7 @@ class TestRun:
         assert list(on_disk["dataset"]) == ["y_min_full", "y_max_full"]
         assert on_disk["dataset"]["y_min_full"] < on_disk["dataset"]["y_max_full"]
         assert "threads" not in on_disk
+        assert "profile" not in on_disk  # the config block records what a profile sets
 
     def test_manifest_times_stages_and_records_environment(self, run_dir):
         _, manifest = run_dir
@@ -1052,6 +1077,24 @@ class TestCliMain:
         del data["task"]
         (out / "model.json").write_text(json.dumps(data))
         self._assert_search_and_diagnose_refuse(cfg_file, out, "task.name", capsys)
+
+    def test_model_with_negated_adapt_std_refused(self, tmp_path, capsys):
+        # searching with it would ascend the negated surrogate
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(FAST_CFG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        data = json.loads((out / "model.json").read_text())
+        data["adapt_std"] = -data["adapt_std"]
+        (out / "model.json").write_text(json.dumps(data))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for command in ("search", "diagnose"):
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["error"], err["stage"]) == ("ValueError", command)
+            assert err["message"].startswith("adapt_std: must be positive")
+        after = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert after.pop("error.json") and after == before
 
     def test_train_needs_no_gen_data(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -15,7 +15,6 @@ from rankmbo.objectives import (
     TrainingDiverged,
     margin_rank_loss,
     mse_loss,
-    mse_loss_grad,
     partition,
     partition_scores,
     sample_dar_pairs,
@@ -26,6 +25,7 @@ from rankmbo.objectives import (
     train_rank_global,
     zero_one_rank_loss,
     _draw_ranked_direct,
+    _mse_loss,
     _pairwise_loss,
 )
 from rankmbo.surrogate import _BLOCK, TrainConfig, init_surrogate, zscore_adapt
@@ -74,8 +74,16 @@ class TestPartition:
         assert part.n_near == 2
 
     def test_all_identical_scores_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all scores tie the threshold"):
             partition_scores(np.ones(10), 0.2)
+
+    def test_fraction_that_takes_every_score_names_the_field(self):
+        # ceil(0.99975 * 4000) = 3999 leaves one score off the near side;
+        # ceil(0.9998 * 4000) = 4000 leaves none, though no score ties
+        assert partition_scores(np.arange(4000.0), 0.99975).n_sub == 1
+        with pytest.raises(ValidationError, match="puts all 4000 scores") as excinfo:
+            partition_scores(np.arange(4000.0), 0.9998)
+        assert excinfo.value.field == "near_fraction"
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5])
     def test_bad_fraction_rejected(self, eps):
@@ -112,8 +120,20 @@ class TestLosses:
     def test_mse_cases(self):
         assert mse_loss(1.0, 1.0) == 0.0
         assert mse_loss(3.0, 1.0) == 4.0
-        assert mse_loss_grad(3.0, 1.0) == 4.0
         assert mse_loss(2.0, 5.0) == mse_loss(5.0, 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(-64, 64), st.integers(-64, 64)), min_size=1, max_size=40
+        )
+    )
+    def test_mse_loss_and_upstream_from_one_residual(self, pairs):
+        # dyadic values, so that residuals and squares are exact and ties common
+        s, y = (np.array(column) / 8.0 for column in zip(*pairs))
+        loss, up = _mse_loss(s, y)
+        assert loss == float(np.mean(mse_loss(s, y)))
+        assert up.tobytes() == (2.0 * (s - y) / len(s)).tobytes()
 
     def test_margin_cases(self):
         assert margin_rank_loss(2.0, 0.0, 0.4) == 0.0

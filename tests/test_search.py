@@ -28,9 +28,6 @@ class ExactBowl:
         self.center = np.asarray(center, dtype=float)
         self.x_std = np.ones_like(self.center)
 
-    def value_batch(self, X):
-        return -np.sum((np.atleast_2d(X) - self.center) ** 2, axis=1)
-
     def gradient_batch(self, X):
         return -2.0 * (np.atleast_2d(X) - self.center)
 
@@ -38,9 +35,6 @@ class ExactBowl:
 class ZeroGradient:
     def __init__(self, dim):
         self.x_std = np.ones(dim)
-
-    def value_batch(self, X):
-        return np.zeros(len(np.atleast_2d(X)))
 
     def gradient_batch(self, X):
         return np.zeros_like(np.atleast_2d(X))
@@ -421,6 +415,14 @@ class TestProposeAndScore:
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["best_true"] == result.best_true
         assert summary["config"]["num_candidates"] == 3
+
+    def test_unscored_result_refused_before_writing(self, tmp_path):
+        ds = make_dataset()
+        cfg = SearchConfig(steps=2, num_candidates=3, seed=0)
+        result = propose_candidates(self._trained(ds), ds, partition(ds, 0.2), cfg)
+        with pytest.raises(ValueError, match="score_candidates"):
+            save_search_result(result, tmp_path / "s.csv", tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_search_config_validation():

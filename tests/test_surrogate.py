@@ -1193,6 +1193,48 @@ class TestPersistence:
             load_model(tmp_path / "m.json")
 
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("adapt_std", -1.0, "adapt_std: must be positive"),
+            ("adapt_std", 0.0, "adapt_std: must be positive"),
+            ("adapt_mean", float("nan"), "adapt_mean: expected a finite number"),
+            ("adapt_std", float("inf"), "adapt_std: expected a finite number"),
+            ("adapt_std", None, "adapt_std: expected a finite number"),
+            ("adapt_mean", "0.5", "adapt_mean: expected a finite number"),
+            ("adapt_mean", True, "adapt_mean: expected a finite number"),
+            ("adapt_degenerate", "no", "adapt_degenerate: expected true or false"),
+            ("x_std", [float("nan"), 1.0], "x_std: must be finite and positive"),
+            ("x_std", [float("inf"), 1.0], "x_std: must be finite and positive"),
+            ("x_std", [0.0, 1.0], "x_std: must be finite and positive"),
+            ("x_mean", [float("nan"), 0.0], "x_mean: must be finite"),
+        ],
+        ids=[
+            "negative_std",
+            "zero_std",
+            "nan_mean",
+            "inf_std",
+            "std_null_mean_set",
+            "string_mean",
+            "bool_mean",
+            "string_degenerate",
+            "nan_x_std",
+            "inf_x_std",
+            "zero_x_std",
+            "nan_x_mean",
+        ],
+    )
+    def test_malformed_constant_rejected_naming_field(self, tmp_path, key, value, match):
+        m = init_surrogate(2, 3, seed=1)
+        m.adapt_output(np.random.default_rng(0).normal(size=(8, 2)))
+        save_model(m, tmp_path / "m.json")
+        data = json.loads((tmp_path / "m.json").read_text())
+        data[key] = value
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=match):
+            load_model(tmp_path / "m.json")
+
+
 class TestStreamedModelJson:
     """``save_model`` streams each array's base64 in ``_B64_PIECE``-byte
     pieces and must write exactly what ``write_json(path, to_dict())``
